@@ -15,14 +15,13 @@
 //! a ~1.0x parallel "speedup" reflects the hardware, not the
 //! implementation — single-core kernel speedups are the portable story.
 //!
-//! The JSON schema (`schema_version` 4) is documented in DESIGN.md and
+//! The JSON schema (`schema_version` 5) is documented in DESIGN.md and
 //! validated by `cargo run -p xtask -- bench-schema`; CI runs the
 //! `--smoke` mode (or set `EARSONAR_BENCH_SMOKE`), which performs all
 //! equivalence checks with reduced timing budgets.
 //!
 //! Run with `cargo run --release -p earsonar-bench --bin perf_report`.
 
-use earsonar::batch::default_workers;
 use earsonar::pipeline::{EarSonar, FrontEnd};
 use earsonar::quality::{measure_window, measure_window_scalar, NoiseFloor};
 use earsonar::EarSonarConfig;
@@ -36,6 +35,7 @@ use earsonar_dsp::fft::{fft, fft_real};
 use earsonar_dsp::filter::{butter_bandpass, filtfilt, filtfilt_with};
 use earsonar_dsp::mel::MelFilterBank;
 use earsonar_dsp::mfcc::{MfccConfig, MfccExtractor};
+use earsonar_dsp::par::default_workers;
 use earsonar_dsp::plan::{DspScratch, FftPlan, RealFftPlan};
 use earsonar_dsp::rng::DetRng;
 use earsonar_dsp::wav::{parse_wav, parse_wav_f32_into, write_wav, WavAudio, WavFormat};
@@ -44,7 +44,7 @@ use earsonar_sim::cohort::Cohort;
 use earsonar_sim::dataset::{Dataset, DatasetSpec};
 use earsonar_sim::ear::EarCanal;
 use earsonar_sim::recorder::{
-    spectral_ffts_per_recording, synthesize_recording_legacy, synthesize_recording_with,
+    spectral_ffts_per_recording, synthesize_recording_time_domain, synthesize_recording_with,
     time_domain_ffts_per_recording, Recording, RecorderConfig,
 };
 use earsonar_sim::rng::SimRng;
@@ -410,9 +410,8 @@ fn main() {
     let smoke = std::env::var_os("EARSONAR_BENCH_SMOKE").is_some()
         || args.iter().any(|a| a == "--smoke");
     let mode = if smoke { "smoke" } else { "full" };
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    // Uncapped by item count, the default worker count is the core count.
+    let cores = default_workers(usize::MAX);
     let low_core = warn_if_low_core(cores);
 
     // ---- scalar vs vectorized kernels ----
@@ -524,7 +523,7 @@ fn main() {
 
     // ---- spectral-domain recording synthesis (carried from PR 2) ----
 
-    println!("\n== synthesize_recording: spectral vs pre-optimization ==");
+    println!("\n== synthesize_recording: spectral vs time-domain reference ==");
     let mut ear_rng = SimRng::seed_from_u64(7);
     let ear = EarCanal::sample_child(&mut ear_rng);
     let mut resp_rng = SimRng::seed_from_u64(8);
@@ -537,8 +536,7 @@ fn main() {
         let mut rng_a = SimRng::seed_from_u64(100 + seed);
         let mut rng_b = SimRng::seed_from_u64(100 + seed);
         let spectral = synthesize_recording_with(&ear, &resp, &cfg, &mut rng_a, &mut scratch);
-        let reference =
-            earsonar_sim::recorder::synthesize_recording_time_domain(&ear, &resp, &cfg, &mut rng_b);
+        let reference = synthesize_recording_time_domain(&ear, &resp, &cfg, &mut rng_b);
         let peak = reference.samples.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         for (a, b) in spectral.samples.iter().zip(&reference.samples) {
             max_rel = max_rel.max((a - b).abs() / peak);
@@ -547,21 +545,21 @@ fn main() {
     assert!(max_rel <= 1e-9, "equivalence violated: {max_rel:e}");
     println!("equivalence: max relative error {max_rel:.2e} (bound 1e-9)");
 
-    let legacy = bencher.report("synthesize/legacy_pre_pr", || {
+    let time_domain = bencher.report("synthesize/time_domain_ref", || {
         let mut rng = SimRng::seed_from_u64(42);
-        synthesize_recording_legacy(&ear, &resp, &cfg, &mut rng).samples[0]
+        synthesize_recording_time_domain(&ear, &resp, &cfg, &mut rng).samples[0]
     });
     let warm = bencher.report("synthesize/spectral_warm", || {
         let mut rng = SimRng::seed_from_u64(42);
         synthesize_recording_with(&ear, &resp, &cfg, &mut rng, &mut scratch).samples[0]
     });
-    let synth_speedup = legacy.ns_per_iter / warm.ns_per_iter;
+    let synth_speedup = time_domain.ns_per_iter / warm.ns_per_iter;
     let ffts_before = time_domain_ffts_per_recording(&cfg, &ear);
     let ffts_after = spectral_ffts_per_recording(&cfg, &ear);
     println!(
         "speedup {synth_speedup:.2}x ({:.0} -> {:.0} recordings/sec), \
          FFTs per recording {ffts_before} -> {ffts_after}",
-        1e9 / legacy.ns_per_iter,
+        1e9 / time_domain.ns_per_iter,
         1e9 / warm.ns_per_iter,
     );
 
@@ -682,7 +680,7 @@ fn main() {
     // ---- the unified report (hand-rolled JSON: no serde in budget) ----
 
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"schema_version\": 4,");
+    let _ = writeln!(json, "  \"schema_version\": 5,");
     let _ = writeln!(json, "  \"report\": \"BENCH_pr9\",");
     let _ = writeln!(json, "  \"mode\": \"{mode}\",");
     let _ = writeln!(json, "  \"cores\": {cores},");
@@ -748,8 +746,8 @@ fn main() {
     let _ = writeln!(json, "    \"n_chirps\": {},", cfg.n_chirps);
     let _ = writeln!(
         json,
-        "    \"legacy_pre_pr_ns\": {},",
-        json_num(legacy.ns_per_iter)
+        "    \"time_domain_ns\": {},",
+        json_num(time_domain.ns_per_iter)
     );
     let _ = writeln!(
         json,
@@ -805,5 +803,5 @@ fn main() {
     json.push_str("}\n");
     std::fs::write("BENCH_pr9.json", &json).expect("write BENCH_pr9.json");
 
-    println!("\nwrote BENCH_pr9.json (schema_version 4)");
+    println!("\nwrote BENCH_pr9.json (schema_version 5)");
 }

@@ -3,10 +3,9 @@
 //! Screening studies process hundreds of recordings with the same fitted
 //! front end; the recordings are independent, so the work parallelizes
 //! trivially. [`FrontEnd::process_batch`] fans a slice of recordings out
-//! over `std::thread::scope` workers — no thread-pool dependency, no
-//! `'static` bounds — with **one warm [`DspScratch`] per worker**, so each
-//! thread reuses its FFT plans and buffers across every recording it
-//! claims.
+//! through [`earsonar_dsp::par::map_indexed`] with **one warm
+//! [`DspScratch`] per worker**, so each thread reuses its FFT plans and
+//! buffers across every recording it claims.
 //!
 //! Output order always matches input order, and because the planned
 //! kernels are deterministic the results are **bit-identical** to calling
@@ -16,72 +15,15 @@
 use crate::error::EarSonarError;
 use earsonar_signal::effusion::MeeState;
 use crate::pipeline::{EarSonar, FrontEnd, ProcessedRecording};
+use earsonar_dsp::par::{default_workers, map_indexed};
 use earsonar_dsp::plan::DspScratch;
 use earsonar_signal::recording::Recording;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// The worker count [`FrontEnd::process_batch`] uses: the machine's
-/// available parallelism, capped by the number of work items.
-pub fn default_workers(items: usize) -> usize {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    cores.min(items.max(1))
-}
-
-/// Runs `f(index, scratch)` for every index in `0..items` across `workers`
-/// scoped threads, returning the results in index order. Workers claim
-/// indices from a shared atomic counter (dynamic load balancing — some
-/// recordings fail fast, some run the full pipeline) and each owns one
-/// scratch for its whole lifetime.
-fn run_indexed<T, F>(items: usize, workers: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, &mut DspScratch) -> T + Sync,
-{
-    let workers = workers.max(1).min(items.max(1));
-    if workers <= 1 {
-        let mut scratch = DspScratch::new();
-        return (0..items).map(|i| f(i, &mut scratch)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = (0..items).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut scratch = DspScratch::new();
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items {
-                            break;
-                        }
-                        local.push((i, f(i, &mut scratch)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            // lint: allow(panic) a panicked worker must propagate — swallowing it would silently drop results
-            for (i, r) in h.join().expect("batch worker panicked") {
-                slots[i] = Some(r);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        // lint: allow(panic) the atomic counter hands each index to exactly one worker, so every slot is filled
-        .map(|s| s.expect("every index was claimed by exactly one worker"))
-        .collect()
-}
 
 impl FrontEnd {
     /// Processes a batch of recordings in parallel, one result per
     /// recording in input order.
     ///
-    /// Spawns up to [`default_workers`] scoped threads; each keeps a warm
+    /// Runs on up to [`default_workers`] scoped threads; each keeps a warm
     /// [`DspScratch`] across the recordings it claims. Per-recording
     /// failures (for example [`EarSonarError::NoEchoDetected`]) land in
     /// the corresponding output slot instead of aborting the batch.
@@ -99,7 +41,7 @@ impl FrontEnd {
         recordings: &[Recording],
         workers: usize,
     ) -> Vec<Result<ProcessedRecording, EarSonarError>> {
-        run_indexed(recordings.len(), workers, |i, scratch| {
+        map_indexed(recordings.len(), workers, DspScratch::new, |scratch, i| {
             self.process_with(scratch, &recordings[i])
         })
     }
@@ -122,37 +64,9 @@ impl EarSonar {
         recordings: &[Recording],
         workers: usize,
     ) -> Vec<Result<MeeState, EarSonarError>> {
-        run_indexed(recordings.len(), workers, |i, scratch| {
+        map_indexed(recordings.len(), workers, DspScratch::new, |scratch, i| {
             let processed = self.front_end().process_with(scratch, &recordings[i])?;
             self.classifier().predict(&processed.features)
         })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_workers_is_positive_and_capped() {
-        assert_eq!(default_workers(0), 1);
-        assert!(default_workers(1) >= 1);
-        assert!(default_workers(3) <= 3);
-        assert!(default_workers(1024) >= 1);
-    }
-
-    #[test]
-    fn run_indexed_preserves_order_at_any_worker_count() {
-        for workers in [1usize, 2, 3, 8] {
-            let out = run_indexed(17, workers, |i, _scratch| i * i);
-            let expect: Vec<usize> = (0..17).map(|i| i * i).collect();
-            assert_eq!(out, expect, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn run_indexed_handles_empty_input() {
-        let out: Vec<usize> = run_indexed(0, 4, |i, _| i);
-        assert!(out.is_empty());
     }
 }

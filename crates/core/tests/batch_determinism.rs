@@ -24,7 +24,7 @@ fn process_batch_is_bit_identical_to_sequential() {
     let front_end = FrontEnd::new(&EarSonarConfig::default()).unwrap();
     let sequential: Vec<_> = recs.iter().map(|r| front_end.process(r)).collect();
 
-    for workers in [1usize, 2, 4] {
+    for workers in [0usize, 1, 2, 4, recs.len() + 5] {
         let batched = front_end.process_batch_with_workers(&recs, workers);
         assert_eq!(batched.len(), sequential.len());
         for (i, (s, b)) in sequential.iter().zip(&batched).enumerate() {

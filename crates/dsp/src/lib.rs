@@ -18,7 +18,9 @@
 //! * [`simd`] — four-lane vectorized reduction kernels with pinned
 //!   scalar twins (the hot-path building blocks),
 //! * [`stats`] — the statistical feature primitives (skewness, kurtosis, …),
-//! * [`peak`], [`interp`], [`dct`], [`goertzel`], [`spectrum`], [`decibel`].
+//! * [`par`] — the index-ordered scoped-thread fan-out every parallel
+//!   batch in the workspace runs through,
+//! * [`peak`], [`interp`], [`dct`], [`goertzel`], [`decibel`].
 //!
 //! # Example
 //!
@@ -63,15 +65,13 @@ pub mod hilbert;
 pub mod interp;
 pub mod mel;
 pub mod mfcc;
+pub mod par;
 pub mod peak;
 pub mod plan;
 pub mod psd;
 pub mod rng;
 pub mod simd;
-pub mod smoothing;
-pub mod spectrogram;
 pub mod wav;
-pub mod spectrum;
 pub mod stats;
 pub mod window;
 

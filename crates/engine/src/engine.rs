@@ -9,6 +9,7 @@ use earsonar::screening::{
     resolve_stream, InconclusiveReason, InconclusiveReport, ScreeningOutcome,
 };
 use earsonar::streaming::ChirpStream;
+use earsonar_dsp::par::map_indexed;
 use earsonar_dsp::plan::DspScratch;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -327,50 +328,25 @@ impl<'a> ScreeningEngine<'a> {
     /// Drains every ready session across `workers` scoped threads: queued
     /// chunks are pushed through the front end, and sessions that are
     /// closed with nothing left queued are resolved into completed
-    /// results. Each worker owns one warm [`DspScratch`] for its whole
-    /// pass. Returns how many sessions resolved during this drain.
+    /// results. The fan-out is [`map_indexed`], so `drain(1)` services
+    /// every session inline on the calling thread. Each worker owns one
+    /// [`DspScratch`] for its whole pass; every drain builds fresh ones,
+    /// so FFT plans are re-planned once per drain. Returns how many
+    /// sessions resolved during this drain.
     ///
     /// Safe to call concurrently with pushes; a chunk that arrives while
     /// its session is being serviced is picked up before the worker moves
-    /// on.
+    /// on. A panic while servicing a session is re-raised on the caller
+    /// with its original payload.
     pub fn drain(&self, workers: usize) -> usize {
         let ready = self.ready_ids();
         if ready.is_empty() {
             return 0;
         }
         let resolved_before = lock(&self.ledger).resolved;
-        let workers = workers.max(1).min(ready.len());
-        if workers == 1 {
-            let mut scratch = DspScratch::new();
-            for &id in &ready {
-                self.service(id, &mut scratch);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        s.spawn(|| {
-                            let mut scratch = DspScratch::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= ready.len() {
-                                    break;
-                                }
-                                self.service(ready[i], &mut scratch);
-                            }
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    if let Err(payload) = h.join() {
-                        // A panicked worker must propagate — swallowing it
-                        // would silently abandon the sessions it claimed.
-                        std::panic::resume_unwind(payload);
-                    }
-                }
-            });
-        }
+        map_indexed(ready.len(), workers, DspScratch::new, |scratch, i| {
+            self.service(ready[i], scratch);
+        });
         lock(&self.ledger).resolved - resolved_before
     }
 

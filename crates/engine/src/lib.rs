@@ -12,8 +12,9 @@
 //! * **bounded per-session ingest queues** with explicit backpressure —
 //!   a full queue returns [`Rejected::QueueFull`], the engine never drops
 //!   a sample silently;
-//! * a **worker pool** ([`ScreeningEngine::drain`]) that claims ready
-//!   sessions across shards, each worker reusing one warm
+//! * **scoped drain workers** ([`ScreeningEngine::drain`], fanned out by
+//!   [`earsonar_dsp::par::map_indexed`]) that claim ready sessions across
+//!   shards, each worker reusing one warm
 //!   [`earsonar_dsp::plan::DspScratch`] for every session it touches;
 //! * **tick-driven keep-alive eviction** — time is a logical clock the
 //!   caller advances with [`ScreeningEngine::tick`], so abandoned

@@ -25,7 +25,9 @@ fn seeded_interleavings_match_sequential_at_workers_1_2_4() {
     // Deliberately hop-misaligned chunks: window completion must not
     // depend on how the stream was cut.
     let chunk_len = 997;
-    for &(workers, seed) in &[(1usize, 11u64), (2, 12), (4, 13)] {
+    // Worker count 0 clamps to one; more workers than ready sessions
+    // clamps to the session count.
+    for &(workers, seed) in &[(0usize, 10u64), (1, 11), (2, 12), (4, 13), (recs.len() + 5, 14)] {
         let config = EngineConfig {
             policy,
             ..EngineConfig::default()

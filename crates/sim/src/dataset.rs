@@ -4,11 +4,12 @@
 //! balanced per-state snapshots for classification experiments, and full
 //! longitudinal trajectories for the recovery figures (Fig. 10).
 
-use crate::cohort::{parallel_map_indexed, Cohort};
+use crate::cohort::Cohort;
 use crate::effusion::MeeState;
 use crate::patient::Patient;
 use crate::scratch::SimScratch;
 use crate::session::{RecordSession, Session, SessionConfig};
+use earsonar_dsp::par::map_indexed;
 
 /// How sessions are drawn from each patient's trajectory.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,12 +121,7 @@ impl Dataset {
     /// the scratch or on which worker rendered it — so the result is
     /// **bit-identical** to the sequential builder at any worker count.
     pub fn build_parallel(cohort: &Cohort, spec: &DatasetSpec, workers: usize) -> Dataset {
-        let n = cohort.len();
-        let workers = workers.max(1).min(n.max(1));
-        if workers <= 1 {
-            return Dataset::build(cohort, spec);
-        }
-        let per_patient = parallel_map_indexed(n, workers, SimScratch::new, |scratch, id| {
+        let per_patient = map_indexed(cohort.len(), workers, SimScratch::new, |scratch, id| {
             patient_sessions_with(&cohort.patients()[id], spec, scratch)
         });
         Dataset {
@@ -229,7 +225,7 @@ mod tests {
         let cohort = Cohort::generate(5, 12);
         let spec = DatasetSpec::default();
         let sequential = Dataset::build(&cohort, &spec);
-        for workers in [1usize, 2, 3, 8] {
+        for workers in [0usize, 1, 2, 3, 8, 10] {
             let parallel = Dataset::build_parallel(&cohort, &spec, workers);
             assert_eq!(
                 sequential.sessions, parallel.sessions,

@@ -62,10 +62,8 @@ pub fn add_ambient_noise(signal: &mut [f64], db_spl: f64, isolation: f64, rng: &
 ///
 /// Each sample needs exactly two independent Gaussians (the rumble drive
 /// and the broadband term), so it draws one polar-method pair per sample
-/// ([`SimRng::gaussian_pair`]) — about half the cost of the Box–Muller
-/// draws used before the spectral-synthesis optimization, with identical
-/// statistics but different realizations.
-/// [`add_ambient_noise_box_muller`] keeps the old stream for baselines.
+/// ([`SimRng::gaussian_pair`]) — about half the cost of two per-sample
+/// Box–Muller draws, with identical statistics.
 fn mix_ambient_noise(signal: &mut [f64], db_spl: f64, isolation: f64, rng: &mut SimRng) {
     let rms = spl_to_amplitude(db_spl);
     let low_rms = rms * LOW_FREQ_FRACTION;
@@ -79,28 +77,6 @@ fn mix_ambient_noise(signal: &mut [f64], db_spl: f64, isolation: f64, rng: &mut 
         let (w, g) = rng.gaussian_pair();
         state = a * state + comp * w;
         *s += isolation * (low_rms * state + broad_rms * g);
-    }
-}
-
-/// [`add_ambient_noise`] with the pre-optimization per-sample Box–Muller
-/// draws — bit-exact to the generator this module shipped with, retained
-/// as the benchmark baseline (see `synthesize_recording_legacy`).
-pub fn add_ambient_noise_box_muller(
-    signal: &mut [f64],
-    db_spl: f64,
-    isolation: f64,
-    rng: &mut SimRng,
-) {
-    let rms = spl_to_amplitude(db_spl);
-    let low_rms = rms * LOW_FREQ_FRACTION;
-    let broad_rms = rms * (1.0 - LOW_FREQ_FRACTION * LOW_FREQ_FRACTION).sqrt();
-    let a = 0.95f64;
-    let comp = (1.0 - a * a).sqrt();
-    let mut state = 0.0f64;
-    for s in signal.iter_mut() {
-        let w = rng.standard_gaussian();
-        state = a * state + comp * w;
-        *s += isolation * (low_rms * state + broad_rms * rng.standard_gaussian());
     }
 }
 
@@ -170,36 +146,5 @@ mod tests {
         let mut a = SimRng::seed_from_u64(4);
         let mut b = SimRng::seed_from_u64(4);
         assert_eq!(ambient_noise(64, 50.0, &mut a), ambient_noise(64, 50.0, &mut b));
-    }
-
-    #[test]
-    fn box_muller_variant_pins_the_legacy_stream() {
-        // The retained baseline generator must keep drawing exactly two
-        // standard Gaussians per sample from the Box–Muller stream.
-        let mut a = SimRng::seed_from_u64(21);
-        let mut b = SimRng::seed_from_u64(21);
-        let mut got = vec![0.0; 257];
-        add_ambient_noise_box_muller(&mut got, 55.0, 0.7, &mut b);
-        let rms_amp = spl_to_amplitude(55.0);
-        let low_rms = rms_amp * 0.85;
-        let broad_rms = rms_amp * (1.0 - 0.85f64 * 0.85).sqrt();
-        let comp = (1.0 - 0.95f64 * 0.95).sqrt();
-        let mut state = 0.0f64;
-        for (i, s) in got.iter().enumerate() {
-            state = 0.95 * state + comp * a.standard_gaussian();
-            let want = 0.7 * (low_rms * state + broad_rms * a.standard_gaussian());
-            assert_eq!(want.to_bits(), s.to_bits(), "sample {i}");
-        }
-    }
-
-    #[test]
-    fn polar_and_box_muller_generators_agree_statistically() {
-        let mut a = SimRng::seed_from_u64(33);
-        let mut b = SimRng::seed_from_u64(34);
-        let mut polar = vec![0.0; 60_000];
-        let mut legacy = vec![0.0; 60_000];
-        add_ambient_noise(&mut polar, 60.0, 1.0, &mut a);
-        add_ambient_noise_box_muller(&mut legacy, 60.0, 1.0, &mut b);
-        assert!((rms(&polar) / rms(&legacy) - 1.0).abs() < 0.05);
     }
 }

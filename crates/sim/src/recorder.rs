@@ -22,12 +22,9 @@
 //! [`synthesize_recording_time_domain`]; both consume the RNG identically,
 //! and an equivalence suite holds them within 1e-9 relative error.
 //!
-//! Noise generation also changed in this optimization pass: the dense
-//! microphone/ambient fills draw polar-method Gaussian pairs
-//! ([`SimRng::gaussian_pair`]) instead of per-sample Box–Muller, which
-//! halves their cost. The noise *values* therefore differ from the seed
-//! code (the distribution is identical); [`synthesize_recording_legacy`]
-//! preserves the original draws bit-exact as the benchmark baseline.
+//! The dense microphone/ambient noise fills draw polar-method Gaussian
+//! pairs ([`SimRng::gaussian_pair`]) rather than per-sample Box–Muller,
+//! which halves their cost.
 
 use crate::device::EarphoneModel;
 use crate::ear::EarCanal;
@@ -110,7 +107,7 @@ pub fn synthesize_recording(
 /// With a warm scratch the only allocation per call is the returned
 /// `Recording`'s sample buffer. The random stream consumed is identical to
 /// [`synthesize_recording_time_domain`]'s: all stochastic parameters are
-/// sampled up front in the legacy order, then rendered spectrally.
+/// sampled up front in the time-domain order, then rendered spectrally.
 pub fn synthesize_recording_with(
     ear: &EarCanal,
     response: &EardrumResponse,
@@ -265,48 +262,16 @@ pub fn synthesize_recording_with(
 }
 
 /// The time-domain reference synthesis: one one-shot allpass delay (FFT
-/// pair) per path per chirp, summed in the time domain, with the current
-/// (polar-method) noise generators.
+/// pair) per path per chirp, summed in the time domain.
 ///
 /// Kept as the reference implementation for the spectral path's
 /// equivalence suite: it consumes the RNG identically to
-/// [`synthesize_recording_with`], so the two agree within 1e-9. For the
-/// bit-exact pre-optimization algorithm — same superposition, Box–Muller
-/// noise draws — see [`synthesize_recording_legacy`].
+/// [`synthesize_recording_with`], so the two agree within 1e-9.
 pub fn synthesize_recording_time_domain(
     ear: &EarCanal,
     response: &EardrumResponse,
     config: &RecorderConfig,
     rng: &mut SimRng,
-) -> Recording {
-    synthesize_time_domain_impl(ear, response, config, rng, false)
-}
-
-/// The literal pre-optimization synthesizer, retained bit-exact: per-path
-/// one-shot FFT delays **and** per-sample Box–Muller noise draws, exactly
-/// as the seed code produced them.
-///
-/// This is the benchmark baseline ("pre-PR one-shot path") — its cost
-/// profile and output values are frozen. It differs from
-/// [`synthesize_recording_time_domain`] only in the noise realization
-/// (Box–Muller vs. polar; identical distributions).
-pub fn synthesize_recording_legacy(
-    ear: &EarCanal,
-    response: &EardrumResponse,
-    config: &RecorderConfig,
-    rng: &mut SimRng,
-) -> Recording {
-    synthesize_time_domain_impl(ear, response, config, rng, true)
-}
-
-/// Shared body of the two time-domain synthesizers; `legacy_noise`
-/// selects the pre-optimization Box–Muller noise stream.
-fn synthesize_time_domain_impl(
-    ear: &EarCanal,
-    response: &EardrumResponse,
-    config: &RecorderConfig,
-    rng: &mut SimRng,
-    legacy_noise: bool,
 ) -> Recording {
     let fs = config.chirp.sample_rate;
     let tx = config.chirp.samples();
@@ -372,26 +337,13 @@ fn synthesize_time_domain_impl(
         samples[start..start + seg_len].copy_from_slice(&segment);
     }
 
-    if legacy_noise {
-        let mic = rng.white_noise(total_len, device.mic_noise_rms());
-        for (s, m) in samples.iter_mut().zip(mic) {
-            *s += m;
-        }
-        noise::add_ambient_noise_box_muller(
-            &mut samples,
-            config.noise_db_spl,
-            device.noise_isolation(),
-            rng,
-        );
-    } else {
-        rng.add_white_noise(&mut samples, device.mic_noise_rms());
-        noise::add_ambient_noise(
-            &mut samples,
-            config.noise_db_spl,
-            device.noise_isolation(),
-            rng,
-        );
-    }
+    rng.add_white_noise(&mut samples, device.mic_noise_rms());
+    noise::add_ambient_noise(
+        &mut samples,
+        config.noise_db_spl,
+        device.noise_isolation(),
+        rng,
+    );
 
     Recording {
         samples,
@@ -521,56 +473,14 @@ mod tests {
     }
 
     #[test]
-    fn legacy_path_differs_only_in_noise_realization() {
-        // Same seed: the legacy (Box–Muller noise) and current (polar
-        // noise) time-domain syntheses share every structural draw, so
-        // their difference is pure noise — zero-mean, with RMS set by the
-        // mic and ambient levels, and tiny next to the signal.
-        let ear = test_ear(6);
-        let cfg = RecorderConfig::default();
-        let resp = EardrumResponse::clear();
-        let mut a = SimRng::seed_from_u64(55);
-        let mut b = SimRng::seed_from_u64(55);
-        let current = synthesize_recording_time_domain(&ear, &resp, &cfg, &mut a);
-        let legacy = synthesize_recording_legacy(&ear, &resp, &cfg, &mut b);
-        assert_eq!(current.samples.len(), legacy.samples.len());
-        let n = current.samples.len() as f64;
-        let diff: Vec<f64> = current
-            .samples
-            .iter()
-            .zip(&legacy.samples)
-            .map(|(x, y)| x - y)
-            .collect();
-        let mean = diff.iter().sum::<f64>() / n;
-        let rms_diff = (diff.iter().map(|v| v * v).sum::<f64>() / n).sqrt();
-        let rms_sig =
-            (current.samples.iter().map(|v| v * v).sum::<f64>() / n).sqrt();
-        assert!(rms_diff > 0.0, "noise realizations should differ");
-        assert!(mean.abs() < 0.2 * rms_diff, "mean {mean} vs rms {rms_diff}");
-        assert!(rms_diff < 0.05 * rms_sig, "diff {rms_diff} vs signal {rms_sig}");
-    }
-
-    #[test]
-    fn legacy_path_is_deterministic() {
-        let ear = test_ear(7);
-        let cfg = RecorderConfig::default();
-        let mut a = SimRng::seed_from_u64(12);
-        let mut b = SimRng::seed_from_u64(12);
-        assert_eq!(
-            synthesize_recording_legacy(&ear, &EardrumResponse::clear(), &cfg, &mut a),
-            synthesize_recording_legacy(&ear, &EardrumResponse::clear(), &cfg, &mut b),
-        );
-    }
-
-    #[test]
     fn fft_counts_favor_spectral_path() {
         let ear = test_ear(1);
         let cfg = RecorderConfig::default();
         let spectral = spectral_ffts_per_recording(&cfg, &ear);
-        let legacy = time_domain_ffts_per_recording(&cfg, &ear);
+        let time_domain = time_domain_ffts_per_recording(&cfg, &ear);
         assert_eq!(spectral, 6 + cfg.n_chirps);
-        assert_eq!(legacy, 4 + cfg.n_chirps * (2 + ear.wall_paths.len()) * 2);
-        assert!(legacy > 3 * spectral, "{legacy} vs {spectral}");
+        assert_eq!(time_domain, 4 + cfg.n_chirps * (2 + ear.wall_paths.len()) * 2);
+        assert!(time_domain > 3 * spectral, "{time_domain} vs {spectral}");
     }
 
     #[test]

@@ -120,24 +120,12 @@ impl SimRng {
         (1.0 + self.gaussian(0.0, rel_sigma)).max(0.05)
     }
 
-    /// Fills a buffer with white Gaussian noise of the given RMS amplitude
-    /// using per-sample Box–Muller draws.
-    ///
-    /// This is the pre-optimization sampler, retained bit-exact as the
-    /// benchmark baseline (see `synthesize_recording_legacy`); the
-    /// production fill is [`SimRng::add_white_noise`], which draws the same
-    /// distribution through the faster polar method.
-    pub fn white_noise(&mut self, len: usize, rms: f64) -> Vec<f64> {
-        (0..len).map(|_| self.gaussian(0.0, rms)).collect()
-    }
-
     /// Adds white Gaussian noise of the given RMS amplitude onto `signal`
     /// in place, drawing pairs via [`SimRng::gaussian_pair`] — no
     /// allocation, no trigonometry.
     ///
-    /// The sample values differ from [`SimRng::white_noise`]'s Box–Muller
-    /// stream (the distribution is identical); for an odd-length fill the
-    /// second element of the final pair is discarded.
+    /// For an odd-length fill the second element of the final pair is
+    /// discarded.
     pub fn add_white_noise(&mut self, signal: &mut [f64], rms: f64) {
         let rms = rms.max(0.0);
         let mut chunks = signal.chunks_exact_mut(2);
@@ -227,14 +215,6 @@ mod tests {
         for _ in 0..100 {
             assert!(rng.lognormal(0.0, 1.0) > 0.0);
         }
-    }
-
-    #[test]
-    fn white_noise_rms_is_calibrated() {
-        let mut rng = SimRng::seed_from_u64(77);
-        let noise = rng.white_noise(20_000, 0.25);
-        let rms = (noise.iter().map(|v| v * v).sum::<f64>() / noise.len() as f64).sqrt();
-        assert!((rms - 0.25).abs() < 0.01, "rms {rms}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! `cargo run -p xtask -- bench-schema` parses the report with a
 //! std-only JSON reader and checks the versioned shape that downstream
 //! consumers (the README table, CI artifacts) rely on: `schema_version`
-//! 4, the named kernel sections with their equivalence labels, the
+//! 5, the named kernel sections with their equivalence labels, the
 //! end-to-end throughput block, the session-engine load section
 //! (sessions/sec plus p50/p99 latency per worker count), the A/B
 //! `backends` section (baseline vs candidate backends with per-class
@@ -487,7 +487,7 @@ fn check_lint(v: &Value, errors: &mut Vec<SchemaError>) {
     }
 }
 
-/// Validates a `BENCH_pr9.json` document against schema version 4.
+/// Validates a `BENCH_pr9.json` document against schema version 5.
 ///
 /// Checks shape and enumerations only — never timing magnitudes, which
 /// CI runners cannot reproduce. Returns every violation found, empty for
@@ -500,10 +500,10 @@ pub fn validate(root: &Value) -> Vec<SchemaError> {
     }
 
     match want(root, "$", "schema_version", &mut errors) {
-        Some(Value::Num(v)) if *v == 4.0 => {}
+        Some(Value::Num(v)) if *v == 5.0 => {}
         Some(other) => errors.push(err(
             "$.schema_version",
-            format!("expected 4, found {other:?}"),
+            format!("expected 5, found {other:?}"),
         )),
         None => {}
     }
@@ -583,7 +583,7 @@ pub fn validate(root: &Value) -> Vec<SchemaError> {
 
     if let Some(synth) = want(root, "$", "synthesis", &mut errors) {
         let p = "$.synthesis";
-        want_num(synth, p, "legacy_pre_pr_ns", &mut errors);
+        want_num(synth, p, "time_domain_ns", &mut errors);
         want_num(synth, p, "spectral_warm_ns", &mut errors);
         want_num(synth, p, "speedup", &mut errors);
         want_num(synth, p, "equivalence_max_rel_error", &mut errors);
@@ -675,7 +675,7 @@ mod tests {
         );
         format!(
             r#"{{
-  "schema_version": 4,
+  "schema_version": 5,
   "report": "BENCH_pr9",
   "mode": "smoke",
   "cores": 1,
@@ -688,7 +688,7 @@ mod tests {
     "worker_sweep": [{{"workers": 1, "ns": 10.0, "speedup": 1.0}}],
     "best_batch_speedup": 1.0, "bit_identical": true
   }},
-  "synthesis": {{"legacy_pre_pr_ns": 2.0, "spectral_warm_ns": 1.0, "speedup": 2.0,
+  "synthesis": {{"time_domain_ns": 2.0, "spectral_warm_ns": 1.0, "speedup": 2.0,
     "equivalence_max_rel_error": 3e-15}},
   "dataset_build": {{"sequential_ns": 5.0,
     "sweep": [{{"workers": 1, "ns": 5.0, "speedup": 1.0}}], "bit_identical": true}},
@@ -738,10 +738,22 @@ mod tests {
 
     #[test]
     fn wrong_schema_version_is_reported() {
-        let doc = conforming().replace("\"schema_version\": 4", "\"schema_version\": 3");
+        let doc = conforming().replace("\"schema_version\": 5", "\"schema_version\": 4");
         let errors = check_report(&doc).unwrap_err();
         assert!(
             errors.iter().any(|e| e.path == "$.schema_version"),
+            "{errors:?}"
+        );
+    }
+
+    #[test]
+    fn missing_synthesis_time_domain_is_reported() {
+        let doc = conforming().replace("\"time_domain_ns\":", "\"legacy_pre_pr_ns\":");
+        let errors = check_report(&doc).unwrap_err();
+        assert!(
+            errors
+                .iter()
+                .any(|e| e.path == "$.synthesis.time_domain_ns"),
             "{errors:?}"
         );
     }

@@ -23,6 +23,13 @@ cargo build --workspace --release
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+echo "==> earbench: the repo benchmark builds and tests against the current APIs"
+# earbench is its own package (empty [workspace], path deps only), so the
+# workspace build above never compiles it; without these steps a change
+# to a program API it calls would break the benchmark unnoticed.
+cargo build --release --offline --manifest-path earbench/Cargo.toml
+cargo test --offline --manifest-path earbench/Cargo.toml
+
 echo "==> robustness: fault injection, quality gating, monotonicity"
 # Explicitly exercised even though --workspace already ran them: these
 # suites are the acceptance bar for graceful degradation (a corrupted
@@ -62,7 +69,7 @@ cargo run --release -p earsonar-bench --bin ab-bench -- --smoke
 echo "==> lint section: splice rule/waiver counts into the report"
 cargo run -p xtask -- lint --report BENCH_pr9.json
 
-echo "==> bench-schema: BENCH_pr9.json conforms to schema_version 4"
+echo "==> bench-schema: BENCH_pr9.json conforms to schema_version 5"
 cargo run -p xtask -- bench-schema
 
 echo "All checks passed."
