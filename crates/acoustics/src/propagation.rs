@@ -9,12 +9,13 @@
 //! Two execution styles are offered for every spectral operation:
 //!
 //! * **one-shot free functions** ([`delay_fractional_allpass`],
-//!   [`apply_frequency_response`]) that allocate their own buffers and build
-//!   a throwaway FFT plan — convenient for tests and doc examples,
-//! * **planned `_with` variants** drawing plans and buffers from a
-//!   [`DspScratch`], plus [`SpectralDelayLine`] for accumulating many
-//!   delayed copies of one signal with a *single* inverse transform — the
-//!   hot path of the recording simulator.
+//!   [`apply_frequency_response`]) that allocate their own buffers and a
+//!   throwaway scratch — convenient for tests and doc examples,
+//! * **planned `_with` variants** drawing buffers from a [`DspScratch`]
+//!   (plans come from the process-wide table either way), plus
+//!   [`SpectralDelayLine`] for accumulating many delayed copies of one
+//!   signal with a *single* inverse transform — the hot path of the
+//!   recording simulator.
 
 use crate::constants::SPEED_OF_SOUND_AIR;
 use earsonar_dsp::complex::Complex64;
@@ -119,25 +120,37 @@ pub fn delay_fractional(x: &[f64], delay_samples: f64, out_len: usize) -> Vec<f6
 ///
 /// One-shot wrapper over [`delay_fractional_allpass_with`]; repeated
 /// callers should hold a [`DspScratch`] and use the planned variant.
+///
+/// # Panics
+///
+/// Panics where [`delay_fractional_allpass_with`] returns an error: a NaN
+/// or `+∞` delay, or a delay too long for any transform.
 pub fn delay_fractional_allpass(x: &[f64], delay_samples: f64, out_len: usize) -> Vec<f64> {
     let mut scratch = DspScratch::new();
     let mut out = Vec::new();
     delay_fractional_allpass_with(x, delay_samples, out_len, &mut scratch, &mut out)
-        .expect("internally chosen power-of-two FFT sizes are always valid");
+        .expect("a finite delay short enough for a planned transform");
     out
 }
 
-/// [`delay_fractional_allpass`] with the FFT plan and intermediate buffer
-/// drawn from a caller-owned [`DspScratch`]: with a warm scratch the call
-/// performs no allocation beyond growing `out` to `out_len`.
+/// [`delay_fractional_allpass`] with the intermediate buffer and the
+/// per-bin phase ramp drawn from a caller-owned [`DspScratch`]: with a
+/// warm scratch the call performs no allocation beyond growing `out` to
+/// `out_len`. The ramp is memoized by `(n, delay.to_bits())`, so a caller
+/// that shifts many signals of one length by one delay evaluates its
+/// `n` phase factors once, not once per signal.
 ///
 /// The transform size is `next_pow2(x.len() + ⌈delay⌉ + 1)`, exactly as the
-/// one-shot function chooses it, so results are identical.
+/// one-shot function chooses it, so results are identical. A negative
+/// delay (`-∞` included) yields all zeros.
 ///
 /// # Errors
 ///
-/// Propagates plan-construction errors from the scratch (not reachable for
-/// the sizes chosen here).
+/// Returns [`DspError::InvalidParameter`] for a NaN or `+∞` delay, and for
+/// a finite delay so long that no transform can hold the shifted signal
+/// (past the plan table's 2^31 points the plan lookup reports
+/// [`DspError::InvalidLength`]).
+// lint: hot-path
 pub fn delay_fractional_allpass_with(
     x: &[f64],
     delay_samples: f64,
@@ -145,13 +158,22 @@ pub fn delay_fractional_allpass_with(
     scratch: &mut DspScratch,
     out: &mut Vec<f64>,
 ) -> Result<(), DspError> {
+    const BAD_DELAY: DspError = DspError::InvalidParameter {
+        name: "delay_samples",
+        constraint: "must be finite or -inf, and short enough for a planned transform",
+    };
+    if delay_samples.is_nan() || delay_samples == f64::INFINITY {
+        return Err(BAD_DELAY);
+    }
     out.clear();
     out.resize(out_len, 0.0);
     if x.is_empty() || delay_samples < 0.0 || out_len == 0 {
         return Ok(());
     }
-    let span = x.len() + delay_samples.ceil() as usize + 1;
-    let n = next_pow2(span);
+    let n = (delay_samples.ceil() as usize)
+        .saturating_add(x.len() + 1)
+        .checked_next_power_of_two()
+        .ok_or(BAD_DELAY)?;
     let plan = scratch.plan(n)?;
     let mut buf = scratch.take_complex();
     buf.resize(n, Complex64::ZERO);
@@ -159,8 +181,11 @@ pub fn delay_fractional_allpass_with(
         *dst = Complex64::from_real(src);
     }
     plan.forward(&mut buf)?;
-    for (k, z) in buf.iter_mut().enumerate() {
-        *z *= delay_phase_multiplier(k, n, delay_samples);
+    let ramp = scratch.ramp((n, delay_samples.to_bits()), |ramp| {
+        ramp.extend((0..n).map(|k| delay_phase_multiplier(k, n, delay_samples)));
+    });
+    for (z, &m) in buf.iter_mut().zip(ramp) {
+        *z *= m;
     }
     plan.inverse(&mut buf)?;
     for (dst, z) in out.iter_mut().zip(buf.iter()) {
@@ -428,7 +453,7 @@ impl MultipathChannel {
             .expect("next_pow2 sizes are always valid");
         let mut work = scratch.take_complex();
         let mut line = SpectralDelayLine::new();
-        line.load(x, &plan, &mut work)
+        line.load(x, plan, &mut work)
             .expect("transform size covers the input");
         let mut acc = scratch.take_complex();
         acc.resize(n, Complex64::ZERO);
@@ -529,6 +554,65 @@ mod tests {
             let one_shot = delay_fractional_allpass(&x, d, 64);
             delay_fractional_allpass_with(&x, d, 64, &mut scratch, &mut out).unwrap();
             assert_eq!(one_shot, out, "delay {d}");
+        }
+    }
+
+    #[test]
+    fn non_finite_delays_are_typed() {
+        let mut scratch = DspScratch::new();
+        let mut out = vec![7.0; 3];
+        for d in [f64::NAN, f64::INFINITY, 1e300] {
+            assert!(
+                matches!(
+                    delay_fractional_allpass_with(&[1.0, 2.0], d, 8, &mut scratch, &mut out),
+                    Err(DspError::InvalidParameter { name: "delay_samples", .. })
+                ),
+                "delay {d}"
+            );
+        }
+        // -inf is a negative delay: all zeros, like any other.
+        delay_fractional_allpass_with(&[1.0, 2.0], f64::NEG_INFINITY, 8, &mut scratch, &mut out)
+            .unwrap();
+        assert_eq!(out, vec![0.0; 8]);
+    }
+
+    #[test]
+    fn memoized_ramp_matches_fresh_scratch_bitwise() {
+        // One scratch serves alternating (size, delay) requests, including
+        // delays one ulp apart, both signed zeros, and one delay at two
+        // transform sizes; every call must equal a cold-scratch call.
+        let short: Vec<f64> = (0..20).map(|i| (i as f64 * 0.73).cos()).collect();
+        let long: Vec<f64> = (0..90).map(|i| (i as f64 * 0.29).sin()).collect();
+        let d = 1.37;
+        let requests: [(&[f64], f64); 9] = [
+            (&short, d),
+            (&short, d.next_up()),
+            (&short, d),
+            (&long, d),
+            (&short, d),
+            (&short, 0.0),
+            (&short, -0.0),
+            (&short, 0.0),
+            (&long, d.next_up()),
+        ];
+        let mut warm = DspScratch::new();
+        let mut out = Vec::new();
+        for round in 0..2 {
+            for (i, &(x, delay)) in requests.iter().enumerate() {
+                delay_fractional_allpass_with(x, delay, x.len() + 4, &mut warm, &mut out)
+                    .unwrap();
+                let mut cold = Vec::new();
+                delay_fractional_allpass_with(
+                    x,
+                    delay,
+                    x.len() + 4,
+                    &mut DspScratch::new(),
+                    &mut cold,
+                )
+                .unwrap();
+                let same = out.iter().zip(&cold).all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same && out.len() == cold.len(), "round {round}, request {i}");
+            }
         }
     }
 

@@ -31,7 +31,6 @@ use earsonar_bench::standard_dataset;
 use earsonar_bench::timing::{json_num, Bencher, Measurement};
 use earsonar_dsp::complex::Complex64;
 use earsonar_dsp::correlation::{pearson, pearson_scalar};
-use earsonar_dsp::fft::{fft, fft_real};
 use earsonar_dsp::filter::{butter_bandpass, filtfilt, filtfilt_with};
 use earsonar_dsp::mel::MelFilterBank;
 use earsonar_dsp::mfcc::{MfccConfig, MfccExtractor};
@@ -331,13 +330,24 @@ fn bench_wav_decode(b: &Bencher) -> KernelRow {
 }
 
 // ---- planned vs one-shot transforms (carried forward from PR 1) ----
+//
+// "One-shot" is what an unplanned transform costs: a fresh buffer, a fresh
+// `FftPlan::new(n)` and the complex transform — what `fft` / `fft_real`
+// did on every call before the process-wide plan table. Those functions
+// now reuse shared plans, so timing them would measure only allocation;
+// the rows build the plan themselves to keep measuring planning.
 
 fn bench_complex_fft(b: &Bencher, n: usize) -> FftRow {
     let signal: Vec<Complex64> = random_signal(n, 17 + n as u64)
         .into_iter()
         .map(Complex64::from_real)
         .collect();
-    let one_shot = b.report(&format!("fft_one_shot/{n}"), || fft(&signal));
+    let one_shot = b.report(&format!("fft_one_shot/{n}"), || {
+        let plan = FftPlan::new(n).unwrap();
+        let mut buf = signal.clone();
+        plan.forward(&mut buf).unwrap();
+        black_box(buf[0])
+    });
     let plan = FftPlan::new(n).unwrap();
     let mut buf = signal.clone();
     let planned = b.report(&format!("fft_planned/{n}"), || {
@@ -355,7 +365,12 @@ fn bench_complex_fft(b: &Bencher, n: usize) -> FftRow {
 
 fn bench_real_fft(b: &Bencher, n: usize) -> FftRow {
     let signal = random_signal(n, 29 + n as u64);
-    let one_shot = b.report(&format!("fft_real_one_shot/{n}"), || fft_real(&signal));
+    let one_shot = b.report(&format!("fft_real_one_shot/{n}"), || {
+        let plan = FftPlan::new(n).unwrap();
+        let mut buf: Vec<Complex64> = signal.iter().map(|&v| Complex64::from_real(v)).collect();
+        plan.forward(&mut buf).unwrap();
+        black_box(buf[0])
+    });
     let plan = RealFftPlan::new(n).unwrap();
     let mut work = Vec::new();
     let mut out = Vec::new();

@@ -4,8 +4,8 @@
 //! front end; the recordings are independent, so the work parallelizes
 //! trivially. [`FrontEnd::process_batch`] fans a slice of recordings out
 //! through [`earsonar_dsp::par::map_indexed`] with **one warm
-//! [`DspScratch`] per worker**, so each thread reuses its FFT plans and
-//! buffers across every recording it claims.
+//! [`DspScratch`] per worker**, so each thread reuses its buffers across
+//! every recording it claims (FFT plans are shared by all threads).
 //!
 //! Output order always matches input order, and because the planned
 //! kernels are deterministic the results are **bit-identical** to calling

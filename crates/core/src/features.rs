@@ -50,7 +50,9 @@ impl FeatureExtractor {
             });
         }
         Ok(FeatureExtractor {
-            mfcc: MfccExtractor::new(config.mfcc.clone())?,
+            // Every MFCC frame is one echo section (`echo_ir_spectrum`).
+            mfcc: MfccExtractor::new(config.mfcc.clone())?
+                .with_frame_taps(config.echo_ir_pre + config.echo_ir_tail),
             band_low: config.band_low_hz,
             band_high: config.band_high_hz,
         })

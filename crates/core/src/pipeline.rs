@@ -220,12 +220,12 @@ impl FrontEnd {
         self.process_with(&mut scratch, recording)
     }
 
-    /// [`FrontEnd::process`] with FFT plans and DSP intermediates drawn
-    /// from a caller-owned [`DspScratch`].
+    /// [`FrontEnd::process`] with DSP intermediates drawn from a
+    /// caller-owned [`DspScratch`].
     ///
     /// A recording runs dozens of chirp deconvolutions, envelope and MFCC
     /// transforms over the same few FFT sizes; with a warm scratch those
-    /// kernels stop allocating and reuse precomputed plans. Batch callers
+    /// kernels stop allocating (the plans are process-wide). Batch callers
     /// (see [`crate::batch`]) keep one scratch per worker thread across
     /// recordings. Results are bit-identical to [`FrontEnd::process`].
     ///
@@ -396,6 +396,10 @@ impl FrontEnd {
         let refined = earsonar_dsp::hilbert::refine_peak(&env, echo.center, 3)
             .unwrap_or(echo.center as f64);
         scratch.put_real(env);
+        // A non-finite peak (a poisoned IR) has no echo to align on.
+        if !refined.is_finite() {
+            return Err(EarSonarError::NoEchoDetected);
+        }
         let target = refined.ceil() + 1.0;
         let shift = target - refined; // in (0, 2]: a pure delay
         let aligned_len = avg_ir.len() + 3;
@@ -579,6 +583,33 @@ mod tests {
                 seed,
             },
         )
+    }
+
+    #[test]
+    fn non_finite_echo_position_is_no_echo_not_an_error() {
+        // A non-finite IR sample makes the envelope peak NaN; finalize must
+        // report no usable echo rather than shift every IR by NaN.
+        let ds = small_dataset(1, 5);
+        let fe = FrontEnd::new(&EarSonarConfig::default()).unwrap();
+        let rec = &ds.sessions[0].recording;
+        let mut scratch = DspScratch::new();
+        for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut acc = ChirpAccumulator::default();
+            for c in 0..rec.n_chirps {
+                let _ = fe.push_window(&mut scratch, &mut acc, rec.chirp_window(c));
+            }
+            assert!(!acc.irs.is_empty());
+            for ir in &mut acc.irs {
+                ir[40] = poison;
+            }
+            assert!(
+                matches!(
+                    fe.finalize(&mut scratch, acc),
+                    Err(EarSonarError::NoEchoDetected)
+                ),
+                "poison {poison}"
+            );
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::complex::Complex64;
 use crate::error::DspError;
-use crate::plan::FftPlan;
+use crate::plan::shared_plan;
 #[cfg(test)]
 use std::f64::consts::PI;
 
@@ -33,38 +33,29 @@ pub fn is_pow2(n: usize) -> bool {
     n != 0 && n & (n - 1) == 0
 }
 
-/// One-shot transform: builds a throwaway [`FftPlan`] and executes it.
-/// Callers that transform the same size repeatedly should keep a plan (or
-/// a [`crate::plan::DspScratch`]) instead — that is where the planning
-/// cost amortizes away.
+/// One-shot transform through the process-wide plan table
+/// ([`crate::plan::shared_plan`]): the first call of a size builds its
+/// plan, every later call of that size — from any thread — reuses it.
 // lint: hot-path
-fn fft_in_place_dir(data: &mut [Complex64], inverse: bool) {
-    debug_assert!(is_pow2(data.len()));
-    // lint: allow(panic) every caller validates or pads to a power of two; a non-pow2 length is a bug worth failing loudly on
-    let plan = FftPlan::new(data.len()).expect("power-of-two FFT length");
-    // lint: allow(panic) the plan was built for data.len() two lines up, so the sizes cannot disagree
-    plan.execute_in_place(data, inverse).expect("planned size");
+fn fft_in_place_dir(data: &mut [Complex64], inverse: bool) -> Result<(), DspError> {
+    shared_plan(data.len())?.execute_in_place(data, inverse)
+}
+
+/// [`fft_in_place_dir`] on a buffer the caller padded to a power of two.
+fn fft_padded_in_place(buf: &mut [Complex64], inverse: bool) {
+    // lint: allow(panic) callers pad to a power of two, and a buffer past the plan table (2^31 points, 32 GiB) could not have been allocated
+    fft_in_place_dir(buf, inverse).expect("power-of-two FFT length within the plan table");
 }
 
 /// Computes the in-place forward FFT of a power-of-two-length buffer.
 ///
 /// # Errors
 ///
-/// Returns [`DspError::InvalidLength`] if the length is not a power of two,
-/// and [`DspError::EmptyInput`] on an empty buffer.
+/// Returns [`DspError::InvalidLength`] if the length is not a power of two
+/// (or exceeds 2^31), and [`DspError::EmptyInput`] on an empty buffer.
 // lint: hot-path
 pub fn fft_in_place(data: &mut [Complex64]) -> Result<(), DspError> {
-    if data.is_empty() {
-        return Err(DspError::EmptyInput);
-    }
-    if !is_pow2(data.len()) {
-        return Err(DspError::InvalidLength {
-            expected: "a power of two",
-            actual: data.len(),
-        });
-    }
-    fft_in_place_dir(data, false);
-    Ok(())
+    fft_in_place_dir(data, false)
 }
 
 /// Computes the in-place inverse FFT of a power-of-two-length buffer.
@@ -76,17 +67,7 @@ pub fn fft_in_place(data: &mut [Complex64]) -> Result<(), DspError> {
 /// Same conditions as [`fft_in_place`].
 // lint: hot-path
 pub fn ifft_in_place(data: &mut [Complex64]) -> Result<(), DspError> {
-    if data.is_empty() {
-        return Err(DspError::EmptyInput);
-    }
-    if !is_pow2(data.len()) {
-        return Err(DspError::InvalidLength {
-            expected: "a power of two",
-            actual: data.len(),
-        });
-    }
-    fft_in_place_dir(data, true);
-    Ok(())
+    fft_in_place_dir(data, true)
 }
 
 /// Computes the FFT of a complex signal, zero-padding to the next power of
@@ -97,7 +78,7 @@ pub fn fft(input: &[Complex64]) -> Vec<Complex64> {
     let n = next_pow2(input.len().max(1));
     let mut buf = vec![Complex64::ZERO; n];
     buf[..input.len()].copy_from_slice(input);
-    fft_in_place_dir(&mut buf, false);
+    fft_padded_in_place(&mut buf, false);
     buf
 }
 
@@ -107,7 +88,7 @@ pub fn ifft(input: &[Complex64]) -> Vec<Complex64> {
     let n = next_pow2(input.len().max(1));
     let mut buf = vec![Complex64::ZERO; n];
     buf[..input.len()].copy_from_slice(input);
-    fft_in_place_dir(&mut buf, true);
+    fft_padded_in_place(&mut buf, true);
     buf
 }
 
@@ -128,7 +109,7 @@ pub fn fft_real(input: &[f64]) -> Vec<Complex64> {
     for (dst, &src) in buf.iter_mut().zip(input.iter()) {
         *dst = Complex64::from_real(src);
     }
-    fft_in_place_dir(&mut buf, false);
+    fft_padded_in_place(&mut buf, false);
     buf
 }
 
@@ -141,7 +122,7 @@ pub fn fft_real_padded(input: &[f64], n_fft: usize) -> Vec<Complex64> {
     for (dst, &src) in buf.iter_mut().zip(input[..m].iter()) {
         *dst = Complex64::from_real(src);
     }
-    fft_in_place_dir(&mut buf, false);
+    fft_padded_in_place(&mut buf, false);
     buf
 }
 

@@ -7,8 +7,9 @@
 //! implemented here, from scratch, with no external DSP dependencies:
 //!
 //! * [`fft`] — iterative radix-2 fast Fourier transform and helpers,
-//! * [`plan`] — planned FFTs (precomputed twiddles, real-input halving)
-//!   and the [`DspScratch`] buffer workspace for allocation-free reuse,
+//! * [`plan`] — planned FFTs (precomputed twiddles, real-input halving),
+//!   the process-wide plan table, and the [`DspScratch`] buffer workspace
+//!   for allocation-free reuse,
 //! * [`filter`] — biquad cascades and Butterworth band-pass design,
 //! * [`window`] — Hann/Hamming/Blackman tapers,
 //! * [`psd`] — periodogram and Welch power-spectral-density estimates,

@@ -81,8 +81,12 @@ pub struct MfccExtractor {
     n_fft: usize,
     /// Window taps for a full `n_fft`-length frame, precomputed so the hot
     /// path multiplies instead of evaluating a cosine per sample. Shorter
-    /// (zero-padded) frames fall back to [`Window::apply_in_place`].
+    /// (zero-padded) frames use `frame_taps` when their length matches,
+    /// and fall back to [`Window::apply_in_place`] otherwise.
     window_taps: Vec<f64>,
+    /// Window taps for the one short frame length named by
+    /// [`MfccExtractor::with_frame_taps`]; empty when none was.
+    frame_taps: Vec<f64>,
     /// Orthonormal DCT-II cosines, row-major: row `k` holds
     /// `cos(PI/n_filters * (i + 0.5) * k)` for `i in 0..n_filters`.
     /// The `sqrt(1/n)` / `sqrt(2/n)` scale is applied after the dot
@@ -126,8 +130,24 @@ impl MfccExtractor {
             bank,
             n_fft,
             window_taps,
+            frame_taps: Vec::new(),
             dct_basis,
         })
+    }
+
+    /// Precomputes the window taps for frames of `len` samples, so
+    /// [`MfccExtractor::extract_into`] multiplies such frames by stored
+    /// taps instead of evaluating one cosine per sample. The result is
+    /// bit-identical to the [`Window::apply_in_place`] path it replaces. A
+    /// caller that always extracts from one section length (the EarSonar
+    /// front end's `echo_ir_pre + echo_ir_tail`) names it here once.
+    /// A zero length, or one of at least the FFT size (full frames always
+    /// use precomputed taps), leaves the extractor as it was.
+    pub fn with_frame_taps(mut self, len: usize) -> Self {
+        if len > 0 && len < self.n_fft {
+            self.config.window.coefficients_into(len, &mut self.frame_taps);
+        }
+        self
     }
 
     /// The configuration this extractor was built with.
@@ -176,12 +196,14 @@ impl MfccExtractor {
         let take = segment.len().min(self.n_fft);
         let mut frame = scratch.take_real();
         frame.extend_from_slice(&segment[..take]);
+        // Precomputed taps are bit-identical to `apply_in_place`, without
+        // the per-sample cosine; other short frames need taps of their own
+        // length.
         if take == self.n_fft {
-            // Precomputed taps: bit-identical to `apply_in_place`, no
-            // per-sample cosine.
             crate::window::apply_precomputed(&self.window_taps, &mut frame);
+        } else if take == self.frame_taps.len() {
+            crate::window::apply_precomputed(&self.frame_taps, &mut frame);
         } else {
-            // Zero-padded short frame — taps depend on frame length.
             self.config.window.apply_in_place(&mut frame);
         }
 

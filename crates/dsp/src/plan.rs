@@ -2,22 +2,25 @@
 //!
 //! The detection pipeline transforms the *same handful of sizes* thousands
 //! of times per recording (one Wiener deconvolution per chirp, one echo
-//! spectrum per impulse response, one MFCC frame per echo window, …). The
-//! free functions in [`crate::fft`] rebuild the twiddle factors and
-//! allocate fresh buffers on every call; this module factors that work out:
+//! spectrum per impulse response, one MFCC frame per echo window, …). This
+//! module factors the setup out of every one of those calls:
 //!
 //! * [`FftPlan`] — a radix-2 transform of one fixed power-of-two size with
 //!   the bit-reversal permutation and per-stage twiddle factors precomputed
 //!   once,
 //! * [`RealFftPlan`] — an `N`-point transform of *real* input computed via
 //!   an `N/2`-point complex FFT (half the butterflies of the generic path),
-//! * [`DspScratch`] — a per-worker workspace caching plans by size and
-//!   pooling intermediate buffers, so the planned kernels perform **zero
-//!   heap allocation per call once warm**.
+//! * [`shared_plan`] / [`shared_real_plan`] — the process-wide plan table:
+//!   one immutable plan per size, built lazily on first request and read
+//!   without a lock afterwards, so no size is ever planned twice in a
+//!   process,
+//! * [`DspScratch`] — a per-worker workspace pooling intermediate buffers
+//!   (and the allpass delay ramp of the last delay it served), so the
+//!   planned kernels perform **zero heap allocation per call once warm**.
 //!
-//! Plans are immutable after construction; a [`DspScratch`] is `!Sync` by
-//! design — batch processing gives each worker thread its own (see
-//! `earsonar::batch`).
+//! Plans are immutable after construction and shared as `&'static`
+//! references; a [`DspScratch`] is `Send` but not shared — each worker
+//! thread owns its own (see `earsonar_dsp::par::map_indexed`).
 //!
 //! # Example
 //!
@@ -36,9 +39,17 @@
 use crate::complex::Complex64;
 use crate::error::DspError;
 use crate::fft::is_pow2;
-use std::collections::BTreeMap;
 use std::f64::consts::PI;
-use std::rc::Rc;
+use std::sync::OnceLock;
+
+/// Slots in the shared plan table: sizes `2^0 ..= 2^(PLAN_TABLE_LEN - 1)`.
+/// The bit-reversal table stores `u32` indices, and 2^31 points (32 GiB of
+/// complex samples) is far past anything this crate transforms.
+const PLAN_TABLE_LEN: usize = 32;
+
+static PLANS: [OnceLock<FftPlan>; PLAN_TABLE_LEN] = [const { OnceLock::new() }; PLAN_TABLE_LEN];
+static REAL_PLANS: [OnceLock<RealFftPlan>; PLAN_TABLE_LEN] =
+    [const { OnceLock::new() }; PLAN_TABLE_LEN];
 
 fn check_pow2(n: usize) -> Result<(), DspError> {
     if n == 0 {
@@ -51,6 +62,56 @@ fn check_pow2(n: usize) -> Result<(), DspError> {
         });
     }
     Ok(())
+}
+
+/// The shared-table slot of `n`-point plans: `log2 n`.
+fn table_slot(n: usize) -> Result<usize, DspError> {
+    check_pow2(n)?;
+    let slot = n.trailing_zeros() as usize;
+    if slot >= PLAN_TABLE_LEN {
+        return Err(DspError::InvalidLength {
+            expected: "a power of two no larger than 2^31",
+            actual: n,
+        });
+    }
+    Ok(slot)
+}
+
+/// The process-wide `n`-point complex plan, built on the first request
+/// from any thread and shared by every later one.
+///
+/// The plan is exactly what [`FftPlan::new`] builds, so transforms through
+/// it are bit-identical to transforms through a private plan. Once built,
+/// a lookup is an index and an atomic load — no lock, no allocation.
+///
+/// # Errors
+///
+/// Returns [`DspError::EmptyInput`] for `n == 0` and
+/// [`DspError::InvalidLength`] if `n` is not a power of two or exceeds
+/// 2^31.
+pub fn shared_plan(n: usize) -> Result<&'static FftPlan, DspError> {
+    let slot = &PLANS[table_slot(n)?];
+    if let Some(plan) = slot.get() {
+        return Ok(plan);
+    }
+    // Two threads may both build a plan on a first-request race; one is
+    // stored and the other dropped, so every caller sees the same plan.
+    let plan = FftPlan::new(n)?;
+    Ok(slot.get_or_init(|| plan))
+}
+
+/// The process-wide `n`-point real plan; see [`shared_plan`].
+///
+/// # Errors
+///
+/// Same conditions as [`shared_plan`].
+pub fn shared_real_plan(n: usize) -> Result<&'static RealFftPlan, DspError> {
+    let slot = &REAL_PLANS[table_slot(n)?];
+    if let Some(plan) = slot.get() {
+        return Ok(plan);
+    }
+    let plan = RealFftPlan::new(n)?;
+    Ok(slot.get_or_init(|| plan))
 }
 
 /// A prepared radix-2 FFT of one fixed power-of-two size.
@@ -325,58 +386,69 @@ impl RealFftPlan {
     }
 }
 
-/// A reusable DSP workspace: plans cached by size plus pools of
-/// intermediate buffers.
+/// A reusable DSP workspace: handles to the shared plan table plus pools
+/// of intermediate buffers.
 ///
 /// The planned kernels (`convolve_fft_with`, `envelope_with`,
 /// `MfccExtractor::extract_into`, `ChannelEstimator::estimate_with`, …)
 /// borrow everything they need from one of these, so a warm scratch makes
 /// them allocation-free. Create one per worker thread and keep it across
-/// calls; creation itself is cheap (empty maps and pools).
+/// calls; creation itself is free (no plan is built — plans live in the
+/// process-wide table, see [`shared_plan`]).
 #[derive(Debug, Default)]
 pub struct DspScratch {
-    plans: BTreeMap<usize, Rc<FftPlan>>,
-    real_plans: BTreeMap<usize, Rc<RealFftPlan>>,
     complex_pool: Vec<Vec<Complex64>>,
     real_pool: Vec<Vec<f64>>,
+    /// Key of the table in `ramp` (see [`DspScratch::ramp`]).
+    ramp_key: Option<(usize, u64)>,
+    ramp: Vec<Complex64>,
 }
 
 impl DspScratch {
-    /// An empty workspace. Plans and buffers are created lazily on first
-    /// use and retained for the workspace's lifetime.
+    /// An empty workspace. Buffers are created lazily on first use and
+    /// retained for the workspace's lifetime.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The cached `n`-point complex plan, building it on first request.
+    /// The shared `n`-point complex plan ([`shared_plan`]).
     ///
-    /// The plan is handed out by cheap `Rc` clone so callers can hold it
-    /// while continuing to borrow buffers from the workspace.
+    /// The plan is a `&'static` reference, so callers can hold it while
+    /// continuing to borrow buffers from the workspace.
     ///
     /// # Errors
     ///
-    /// Propagates [`FftPlan::new`] errors for invalid sizes.
-    pub fn plan(&mut self, n: usize) -> Result<Rc<FftPlan>, DspError> {
-        if let Some(p) = self.plans.get(&n) {
-            return Ok(Rc::clone(p));
-        }
-        let p = Rc::new(FftPlan::new(n)?);
-        self.plans.insert(n, Rc::clone(&p));
-        Ok(p)
+    /// Propagates [`shared_plan`] errors for invalid sizes.
+    pub fn plan(&self, n: usize) -> Result<&'static FftPlan, DspError> {
+        shared_plan(n)
     }
 
-    /// The cached `n`-point real plan, building it on first request.
+    /// The shared `n`-point real plan ([`shared_real_plan`]).
     ///
     /// # Errors
     ///
-    /// Propagates [`RealFftPlan::new`] errors for invalid sizes.
-    pub fn real_plan(&mut self, n: usize) -> Result<Rc<RealFftPlan>, DspError> {
-        if let Some(p) = self.real_plans.get(&n) {
-            return Ok(Rc::clone(p));
+    /// Propagates [`shared_real_plan`] errors for invalid sizes.
+    pub fn real_plan(&self, n: usize) -> Result<&'static RealFftPlan, DspError> {
+        shared_real_plan(n)
+    }
+
+    /// A one-entry memo of a per-bin complex table (such as an allpass
+    /// delay's phase ramp): returns the table last built for `key`, or
+    /// clears it and rebuilds it with `fill` when `key` differs from the
+    /// previous request. `key` must determine the table completely; the
+    /// memo never compares contents.
+    // lint: hot-path
+    pub fn ramp(
+        &mut self,
+        key: (usize, u64),
+        fill: impl FnOnce(&mut Vec<Complex64>),
+    ) -> &[Complex64] {
+        if self.ramp_key != Some(key) {
+            self.ramp.clear();
+            fill(&mut self.ramp);
+            self.ramp_key = Some(key);
         }
-        let p = Rc::new(RealFftPlan::new(n)?);
-        self.real_plans.insert(n, Rc::clone(&p));
-        Ok(p)
+        &self.ramp
     }
 
     /// Borrows a complex buffer from the pool (empty, capacity retained
@@ -455,10 +527,10 @@ mod tests {
         let mut s = DspScratch::new();
         let a = s.plan(16).unwrap();
         let b = s.plan(16).unwrap();
-        assert!(Rc::ptr_eq(&a, &b));
+        assert!(std::ptr::eq(a, b));
         let ra = s.real_plan(16).unwrap();
         let rb = s.real_plan(16).unwrap();
-        assert!(Rc::ptr_eq(&ra, &rb));
+        assert!(std::ptr::eq(ra, rb));
 
         let mut buf = s.take_complex();
         buf.resize(64, Complex64::ZERO);

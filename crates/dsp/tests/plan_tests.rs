@@ -1,9 +1,11 @@
 //! Planner correctness: planned transforms must agree with the one-shot
 //! free functions bit-for-bit in semantics (round trips, Parseval,
-//! Hermitian symmetry) across every size the pipeline uses.
+//! Hermitian symmetry) across every size the pipeline uses, and the
+//! process-wide plan table must hand every caller the same plan.
 
-use earsonar_dsp::fft::{fft, fft_real, ifft};
-use earsonar_dsp::plan::{DspScratch, FftPlan, RealFftPlan};
+use earsonar_dsp::fft::{fft, fft_in_place, fft_real, fft_real_padded, ifft, ifft_in_place};
+use earsonar_dsp::plan::{shared_plan, shared_real_plan, DspScratch, FftPlan, RealFftPlan};
+use earsonar_dsp::DspError;
 use earsonar_dsp::rng::DetRng;
 use earsonar_dsp::Complex64;
 
@@ -170,4 +172,102 @@ fn scratch_reuse_is_bit_identical_to_fresh_plans() {
             warm.put_complex(work);
         }
     }
+}
+
+/// Compile-time check: a scratch can move to a worker thread.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<DspScratch>();
+};
+
+#[test]
+fn scratches_and_threads_share_one_plan_per_size() {
+    let a = DspScratch::new();
+    let b = DspScratch::new();
+    for n in [1usize, 2, 64, 256, 1024] {
+        assert!(std::ptr::eq(a.plan(n).unwrap(), b.plan(n).unwrap()), "n = {n}");
+        assert!(std::ptr::eq(a.real_plan(n).unwrap(), b.real_plan(n).unwrap()), "n = {n}");
+        assert!(std::ptr::eq(a.plan(n).unwrap(), shared_plan(n).unwrap()), "n = {n}");
+    }
+    // Two threads racing for a size neither has requested before still
+    // end up with the one table entry.
+    let n = 1 << 13;
+    let (p1, p2, r1, r2) = std::thread::scope(|s| {
+        let t1 = s.spawn(|| {
+            let scratch = DspScratch::new();
+            (scratch.plan(n).unwrap(), scratch.real_plan(n).unwrap())
+        });
+        let t2 = s.spawn(|| (shared_plan(n).unwrap(), shared_real_plan(n).unwrap()));
+        let (p1, r1) = t1.join().unwrap();
+        let (p2, r2) = t2.join().unwrap();
+        (p1, p2, r1, r2)
+    });
+    assert!(std::ptr::eq(p1, p2));
+    assert!(std::ptr::eq(r1, r2));
+    assert_eq!(p1.size(), n);
+    assert_eq!(r1.size(), n);
+}
+
+#[test]
+fn one_shot_transforms_are_bit_identical_to_private_plans() {
+    let mut n = 1usize;
+    while n <= 1024 {
+        let mut rng = DetRng::seed_from_u64(700 + n as u64);
+        let x = random_complex(&mut rng, n);
+        let plan = FftPlan::new(n).unwrap();
+        let mut expect = x.clone();
+        plan.forward(&mut expect).unwrap();
+        assert_eq!(fft(&x), expect, "fft n = {n}");
+        let mut buf = x.clone();
+        fft_in_place(&mut buf).unwrap();
+        assert_eq!(buf, expect, "fft_in_place n = {n}");
+        let mut back = expect.clone();
+        plan.inverse(&mut back).unwrap();
+        ifft_in_place(&mut expect).unwrap();
+        assert_eq!(expect, back, "ifft_in_place n = {n}");
+
+        // `fft_real_padded` truncates or zero-pads to `n` points.
+        let real = random_real(&mut rng, n + 3);
+        for len in [n / 2, n, n + 3] {
+            let mut promoted = vec![Complex64::ZERO; n];
+            for (dst, &src) in promoted.iter_mut().zip(&real[..len]) {
+                *dst = Complex64::from_real(src);
+            }
+            plan.forward(&mut promoted).unwrap();
+            assert_eq!(fft_real_padded(&real[..len], n), promoted, "n = {n}, len {len}");
+        }
+        n *= 2;
+    }
+}
+
+#[test]
+fn plan_table_rejects_bad_sizes_with_typed_errors() {
+    let scratch = DspScratch::new();
+    for n in [0usize, 3, 12, 1000] {
+        let expect_empty = n == 0;
+        for r in [shared_plan(n).map(drop), scratch.plan(n).map(drop)] {
+            match r {
+                Err(DspError::EmptyInput) => assert!(expect_empty, "n = {n}"),
+                Err(DspError::InvalidLength { actual, .. }) => assert_eq!(actual, n),
+                other => panic!("n = {n}: {other:?}"),
+            }
+        }
+        assert!(shared_real_plan(n).is_err() && scratch.real_plan(n).is_err(), "n = {n}");
+    }
+    // Past the table (2^31 points) the lookup refuses instead of planning.
+    for n in [1usize << 32, 1 << 40, 1 << (usize::BITS - 1)] {
+        assert!(
+            matches!(shared_plan(n), Err(DspError::InvalidLength { actual, .. }) if actual == n),
+            "n = {n}"
+        );
+        assert!(matches!(
+            shared_real_plan(n),
+            Err(DspError::InvalidLength { .. })
+        ));
+    }
+    assert!(matches!(fft_in_place(&mut []), Err(DspError::EmptyInput)));
+    assert!(matches!(
+        ifft_in_place(&mut [Complex64::ZERO; 6]),
+        Err(DspError::InvalidLength { actual: 6, .. })
+    ));
 }

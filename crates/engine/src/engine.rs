@@ -331,8 +331,9 @@ impl<'a> ScreeningEngine<'a> {
     /// results. The fan-out is [`map_indexed`], so `drain(1)` services
     /// every session inline on the calling thread. Each worker owns one
     /// [`DspScratch`] for its whole pass; every drain builds fresh ones,
-    /// so FFT plans are re-planned once per drain. Returns how many
-    /// sessions resolved during this drain.
+    /// which plan nothing (FFT plans come from the process-wide table) and
+    /// only warm their buffer pools again. Returns how many sessions
+    /// resolved during this drain.
     ///
     /// Safe to call concurrently with pushes; a chunk that arrives while
     /// its session is being serviced is picked up before the worker moves

@@ -14,8 +14,9 @@
 //!   a sample silently;
 //! * **scoped drain workers** ([`ScreeningEngine::drain`], fanned out by
 //!   [`earsonar_dsp::par::map_indexed`]) that claim ready sessions across
-//!   shards, each worker reusing one warm
-//!   [`earsonar_dsp::plan::DspScratch`] for every session it touches;
+//!   shards, each worker reusing one [`earsonar_dsp::plan::DspScratch`]
+//!   buffer pool for every session it touches (FFT plans are shared
+//!   process-wide, so no drain plans a transform);
 //! * **tick-driven keep-alive eviction** — time is a logical clock the
 //!   caller advances with [`ScreeningEngine::tick`], so abandoned
 //!   sessions resolve to a typed

@@ -199,11 +199,11 @@ pub fn synthesize_recording_with(
     let mut work = scratch.dsp.take_complex();
     scratch
         .tx_line
-        .load(&scratch.tx_shaped, &plan, &mut work)
+        .load(&scratch.tx_shaped, plan, &mut work)
         .expect("transform size covers the shaped chirp");
     scratch
         .echo_line
-        .load(&scratch.echo_shaped, &plan, &mut work)
+        .load(&scratch.echo_shaped, plan, &mut work)
         .expect("transform size covers the echo waveform");
 
     let total_len = hop * config.n_chirps;

@@ -30,6 +30,16 @@ echo "==> earbench: the repo benchmark builds and tests against the current APIs
 cargo build --release --offline --manifest-path earbench/Cargo.toml
 cargo test --offline --manifest-path earbench/Cargo.toml
 
+echo "==> earbench traced smoke: each workload once, re-driven stage by stage"
+# A traced run re-drives the front end through its public stage
+# functions and exits nonzero unless its verdicts and features match the
+# program's own bit for bit, so drift between the two fails here instead
+# of only in the benchmark pipeline. About 25 s on a 2-vCPU host.
+for workload in clinic_quiet home_degraded engine_streams; do
+    cargo run --quiet --release --offline --manifest-path earbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 3 --trace 1 | tail -n 1 | cut -c1-120
+done
+
 echo "==> robustness: fault injection, quality gating, monotonicity"
 # Explicitly exercised even though --workspace already ran them: these
 # suites are the acceptance bar for graceful degradation (a corrupted

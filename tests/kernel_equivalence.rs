@@ -16,6 +16,7 @@
 //! are finite by construction.
 
 use earsonar::quality::{measure_window, measure_window_scalar, NoiseFloor};
+use earsonar::EarSonarConfig;
 use earsonar_dsp::correlation::{pearson, pearson_scalar};
 use earsonar_dsp::filter::{butter_bandpass, filtfilt, filtfilt_with};
 use earsonar_dsp::mel::MelFilterBank;
@@ -180,6 +181,39 @@ fn mfcc_extraction_tracks_scalar_reference() {
         assert_eq!(fast.len(), slow.len());
         for (k, (f, s)) in fast.iter().zip(&slow).enumerate() {
             assert!((f - s).abs() < 1e-9, "n={n} coeff {k}: {f} vs {s}");
+        }
+    }
+}
+
+#[test]
+fn mfcc_section_taps_are_bit_identical_to_per_sample_window() {
+    // The front end precomputes window taps for its echo-section length
+    // (`echo_ir_pre + echo_ir_tail`); frames of that length must give the
+    // bits of the per-sample `apply_in_place` path, and every other length
+    // must be untouched by the extra taps.
+    let other = EarSonarConfig {
+        echo_ir_pre: 3,
+        echo_ir_tail: 40,
+        mfcc: MfccConfig {
+            window: Window::Blackman,
+            ..EarSonarConfig::default().mfcc
+        },
+        ..EarSonarConfig::default()
+    };
+    let mut scratch = DspScratch::new();
+    let (mut with_taps, mut without) = (Vec::new(), Vec::new());
+    for cfg in [EarSonarConfig::default(), other] {
+        let section = cfg.echo_ir_pre + cfg.echo_ir_tail;
+        let plain = MfccExtractor::new(cfg.mfcc.clone()).unwrap();
+        let tapped = MfccExtractor::new(cfg.mfcc.clone())
+            .unwrap()
+            .with_frame_taps(section);
+        for n in [1usize, 2, 60, 61, 62, 255, section] {
+            let x = noise(n, 20_000 + n as u64);
+            tapped.extract_into(&mut scratch, &x, &mut with_taps).unwrap();
+            plain.extract_into(&mut scratch, &x, &mut without).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&with_taps), bits(&without), "section {section}, n={n}");
         }
     }
 }
