@@ -24,7 +24,7 @@ fn signal(n: usize) -> Vec<f64> {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let b = Bencher::from_env(&args);
+    let b = Bencher::from_args(&args);
 
     for n in [256usize, 1024, 4096] {
         let x = signal(n);

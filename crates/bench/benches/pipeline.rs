@@ -19,7 +19,7 @@ use earsonar_sim::{MeeAcoustics, MeeState};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let b = Bencher::from_env(&args);
+    let b = Bencher::from_args(&args);
 
     let cohort = Cohort::generate(1, 7);
     let patient = &cohort.patients()[0];

@@ -3,7 +3,7 @@
 //! builds.
 //!
 //! Run with `cargo bench -p earsonar-bench --bench sim_throughput`; pass
-//! `--smoke` or set `EARSONAR_BENCH_SMOKE` for a fast pass.
+//! `--smoke` for a fast pass.
 
 use earsonar_bench::timing::Bencher;
 use earsonar_sim::cohort::Cohort;
@@ -19,7 +19,7 @@ use earsonar_sim::{MeeAcoustics, MeeState};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let b = Bencher::from_env(&args);
+    let b = Bencher::from_args(&args);
 
     let mut ear_rng = SimRng::seed_from_u64(7);
     let ear = EarCanal::sample_child(&mut ear_rng);

@@ -13,7 +13,7 @@ use earsonar_sim::session::SessionConfig;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let b = Bencher::from_env(&args);
+    let b = Bencher::from_args(&args);
 
     let cfg = EarSonarConfig::default();
     let dataset = standard_dataset(6, SessionConfig::default());

@@ -27,7 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod ab;
-pub mod engine_load;
 pub mod power;
 pub mod timing;
 

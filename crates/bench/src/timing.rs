@@ -4,7 +4,9 @@
 //! dependency budget; this module provides the small subset the harness
 //! needs — warm-up, iteration-count calibration, best-of-R batch timing —
 //! on `std::time::Instant` alone. The `benches/` targets (with
-//! `harness = false`) and the `perf_report` binary are built on it.
+//! `harness = false`) are built on it. These are kernel microbenchmarks
+//! for local before/after checks; the repository's end-to-end and
+//! per-stage performance record is `earbench` (see `earbench/README.md`).
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -62,12 +64,10 @@ impl Bencher {
         }
     }
 
-    /// Picks the runner from the environment: smoke when
-    /// `EARSONAR_BENCH_SMOKE` is set or `--smoke` appears in `args`.
-    pub fn from_env(args: &[String]) -> Self {
-        if std::env::var_os("EARSONAR_BENCH_SMOKE").is_some()
-            || args.iter().any(|a| a == "--smoke")
-        {
+    /// Picks the runner from the command line: smoke when `--smoke`
+    /// appears in `args`.
+    pub fn from_args(args: &[String]) -> Self {
+        if args.iter().any(|a| a == "--smoke") {
             Bencher::smoke()
         } else {
             Bencher::new()
@@ -115,16 +115,6 @@ impl Bencher {
     }
 }
 
-/// Formats a float without trailing noise for JSON output (plain `{:.1}`,
-/// which is valid JSON and stable across runs).
-pub fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.1}")
-    } else {
-        "null".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,17 +135,10 @@ mod tests {
     }
 
     #[test]
-    fn from_env_smoke_flag() {
-        let b = Bencher::from_env(&["--smoke".to_string()]);
+    fn from_args_smoke_flag() {
+        let b = Bencher::from_args(&["--smoke".to_string()]);
         assert_eq!(b.target_ms, 5);
-        let b = Bencher::from_env(&[]);
-        // Either default or smoke if the env var leaks in; both valid.
-        assert!(b.target_ms == 60 || b.target_ms == 5);
-    }
-
-    #[test]
-    fn json_num_formats() {
-        assert_eq!(json_num(1.25), "1.2");
-        assert_eq!(json_num(f64::NAN), "null");
+        let b = Bencher::from_args(&[]);
+        assert_eq!(b.target_ms, 60);
     }
 }

@@ -15,12 +15,9 @@ use earsonar::eval::{loocv, ExtractedDataset};
 use earsonar::model_io::{load_model, load_model_as, save_model};
 use earsonar::quality::SessionQuality;
 use earsonar::report::{pct, Table};
-use earsonar::screening::{
-    InconclusiveReason, InconclusiveReport, RetryPolicy, ScreeningOutcome, ScreeningReport,
-    ScreeningVerdict,
-};
+use earsonar::screening::{resolve_stream, InconclusiveReason, RetryPolicy, ScreeningOutcome};
 use earsonar::streaming::StreamingFrontEnd;
-use earsonar::{EarSonar, EarSonarConfig, EarSonarError, MeeState};
+use earsonar::{EarSonar, EarSonarConfig, MeeState};
 use earsonar_dsp::wav::{write_wav, WavAudio, WavFormat};
 use earsonar_signal::recording::{ChirpLayout, Recording};
 use earsonar_signal::source::SignalSource;
@@ -64,8 +61,10 @@ Defaults: --patients 16, --seed 7, --quorum 12.
 Backends: mfcc-kmeans (reference, default), absorbance-logistic,
 absorbance-knn.
 
-Exit codes: 0 all conclusive, 1 error, 2 at least one recording was
-INCONCLUSIVE (too little usable signal for a trustworthy verdict).";
+Exit codes: 0 all conclusive, 1 error, 2 at least one recording got no
+verdict: it was INCONCLUSIVE (too little usable signal for a trustworthy
+verdict) or its file failed (unreadable, not a WAV, or a screening
+error, printed as `error:` on its line).";
 
 struct Args {
     patients: usize,
@@ -329,8 +328,10 @@ fn outcome_line(outcome: &ScreeningOutcome) -> String {
 /// Pushes one recording chirp by chirp through a streaming front end,
 /// printing progress, and returns the quality-gated screening outcome.
 /// With `min_chirps`, stops pushing as soon as that many chirps yielded
-/// usable echoes. Mirrors `earsonar::screening::screen_recording_quality`,
-/// adding progress output and the early-stop option.
+/// usable echoes. The verdict comes from
+/// `earsonar::screening::resolve_stream`, the decision sequence every
+/// other screening surface ends in; this adds progress output and the
+/// early-stop option.
 fn screen_streaming(
     system: &EarSonar,
     rec: &Recording,
@@ -365,41 +366,8 @@ fn screen_streaming(
         if early { " (stopped early)" } else { "" }
     );
     eprintln!("  quality: {}", quality_line(&quality));
-    let inconclusive = |reason| {
-        ScreeningOutcome::Inconclusive(InconclusiveReport {
-            reason,
-            attempts: 1,
-            quality: Some(quality),
-            captures: CaptureDiagnostics::default(),
-        })
-    };
-    let quorum = policy.min_accepted_chirps.max(1);
-    if usable < quorum {
-        return Ok(inconclusive(InconclusiveReason::QuorumNotMet {
-            needed: quorum,
-            best_usable: usable,
-        }));
-    }
-    let processed = match stream.finish() {
-        Ok(p) => p,
-        Err(EarSonarError::NoEchoDetected) => {
-            return Ok(inconclusive(InconclusiveReason::NoUsableEcho))
-        }
-        Err(e) => return Err(e.to_string()),
-    };
-    let confidence = processed.quality.confidence();
-    if confidence < policy.min_confidence {
-        return Ok(inconclusive(InconclusiveReason::LowConfidence));
-    }
-    let state = system.classify(&processed).map_err(|e| e.to_string())?;
-    Ok(ScreeningOutcome::Conclusive(ScreeningReport {
-        state,
-        verdict: ScreeningVerdict::from_state(state),
-        confidence,
-        quality: processed.quality,
-        attempts: 1,
-        captures: CaptureDiagnostics::default(),
-    }))
+    let (stream, mut scratch) = stream.into_parts();
+    resolve_stream(system, &mut scratch, stream, policy).map_err(|e| e.to_string())
 }
 
 fn cmd_screen(args: &Args) -> Result<bool, String> {
@@ -410,29 +378,40 @@ fn cmd_screen(args: &Args) -> Result<bool, String> {
     let system = load_pinned(model_path, args.backend.as_deref())?;
     let config = system.front_end().config().clone();
     let policy = args.policy();
-    let mut inconclusive = 0usize;
+    let mut no_verdict = 0usize;
     for file in &args.files {
         eprintln!("screening {}…", file.display());
-        match recording_from_wav(file, &config)
-            .and_then(|rec| screen_streaming(&system, &rec, args.min_chirps, &policy))
-        {
-            Ok(outcome) => {
-                if !outcome.is_conclusive() {
-                    inconclusive += 1;
-                }
-                println!("{}\t{}", file.display(), outcome_line(&outcome));
-            }
-            Err(e) => println!("{}\terror: {e}", file.display()),
+        let outcome = recording_from_wav(file, &config)
+            .and_then(|rec| screen_streaming(&system, &rec, args.min_chirps, &policy));
+        if !print_outcome(&file.display().to_string(), &outcome) {
+            no_verdict += 1;
         }
     }
-    Ok(inconclusive == 0)
+    Ok(no_verdict == 0)
+}
+
+/// Prints one `label<TAB>result` line and returns whether the file got a
+/// conclusive verdict. An inconclusive outcome and a per-file error both
+/// count as "no verdict", which makes the run exit 2.
+fn print_outcome(label: &str, outcome: &Result<ScreeningOutcome, String>) -> bool {
+    match outcome {
+        Ok(outcome) => {
+            println!("{label}\t{}", outcome_line(outcome));
+            outcome.is_conclusive()
+        }
+        Err(e) => {
+            println!("{label}\terror: {e}");
+            false
+        }
+    }
 }
 
 /// Routes every captured WAV through the concurrent session engine: one
 /// session per file, samples pushed round-robin in chirp-hop chunks so the
 /// streams genuinely interleave, drained by `workers` threads. Verdicts
-/// are bit-identical to the sequential path (the engine's contract), so
-/// the exit-code semantics are unchanged.
+/// are bit-identical to the sequential path (the engine's contract), and
+/// results, capture errors included, print in file order, so stdout and
+/// the exit code match the sequential path.
 fn screen_wav_concurrent(
     system: &EarSonar,
     layout: ChirpLayout,
@@ -446,7 +425,7 @@ fn screen_wav_concurrent(
     // like the sequential drain loop.
     let mut source = WavSignalSource::new(layout, files.to_vec());
     let mut captures = CaptureDiagnostics::default();
-    let mut labeled: Vec<(String, Option<Recording>)> = Vec::new();
+    let mut labeled: Vec<(String, Result<Recording, String>)> = Vec::new();
     loop {
         let label = source
             .next_path()
@@ -460,12 +439,11 @@ fn screen_wav_concurrent(
             }
             Ok(Some(rec)) => {
                 captures.succeeded += 1;
-                labeled.push((label, Some(rec)));
+                labeled.push((label, Ok(rec)));
             }
             Err(e) => {
                 captures.record_failure(&e);
-                println!("{label}\terror: {e}");
-                labeled.push((label, None));
+                labeled.push((label, Err(e.to_string())));
             }
         }
     }
@@ -478,12 +456,12 @@ fn screen_wav_concurrent(
     let engine = ScreeningEngine::new(system, config);
     let mut streaming: Vec<bool> = Vec::with_capacity(labeled.len());
     for (i, (label, rec)) in labeled.iter().enumerate() {
-        if rec.is_some() {
+        if rec.is_ok() {
             engine
                 .open(SessionId(i as u64))
                 .map_err(|e| format!("{label}: opening engine session: {e}"))?;
         }
-        streaming.push(rec.is_some());
+        streaming.push(rec.is_ok());
     }
 
     // Round-robin pump: one hop-sized chunk per open session per pass; a
@@ -493,7 +471,7 @@ fn screen_wav_concurrent(
     let mut in_progress = streaming.iter().filter(|&&s| s).count();
     while in_progress > 0 {
         for (i, (label, rec)) in labeled.iter().enumerate() {
-            let Some(rec) = rec.as_ref().filter(|_| streaming[i]) else {
+            let Some(rec) = rec.as_ref().ok().filter(|_| streaming[i]) else {
                 continue;
             };
             let lo = cursor[i] * hop;
@@ -517,22 +495,24 @@ fn screen_wav_concurrent(
     }
     engine.drain(workers);
 
-    // `take_completed` returns sessions sorted by id, i.e. file order.
-    let mut inconclusive = 0usize;
+    // Session ids are file indices; failed captures keep their error.
+    let mut outcomes: Vec<Option<Result<ScreeningOutcome, String>>> = labeled
+        .iter()
+        .map(|(_, rec)| rec.as_ref().err().map(|e| Err(e.clone())))
+        .collect();
     for done in engine.take_completed() {
-        let (label, _) = &labeled[done.id.0 as usize];
-        match &done.outcome {
-            Ok(outcome) => {
-                if !outcome.is_conclusive() {
-                    inconclusive += 1;
-                }
-                println!("{label}\t{}", outcome_line(outcome));
+        outcomes[done.id.0 as usize] = Some(done.outcome.map_err(|e| e.to_string()));
+    }
+    let mut no_verdict = 0usize;
+    for ((label, _), outcome) in labeled.iter().zip(&outcomes) {
+        if let Some(outcome) = outcome {
+            if !print_outcome(label, outcome) {
+                no_verdict += 1;
             }
-            Err(e) => println!("{label}\terror: {e}"),
         }
     }
     println!("captures: {}", captures.summary());
-    Ok(inconclusive == 0)
+    Ok(no_verdict == 0)
 }
 
 fn cmd_screen_wav(args: &Args) -> Result<bool, String> {
@@ -551,7 +531,7 @@ fn cmd_screen_wav(args: &Args) -> Result<bool, String> {
     }
     let mut source = WavSignalSource::new(layout, args.files.clone());
     let mut captures = CaptureDiagnostics::default();
-    let mut inconclusive = 0usize;
+    let mut no_verdict = 0usize;
     // Drain the capture queue exactly like a live backend: one capture at
     // a time, failures are counted per cause and skip to the next capture.
     loop {
@@ -568,24 +548,20 @@ fn cmd_screen_wav(args: &Args) -> Result<bool, String> {
             }
             Ok(Some(rec)) => {
                 captures.succeeded += 1;
-                match screen_streaming(&system, &rec, args.min_chirps, &policy) {
-                    Ok(outcome) => {
-                        if !outcome.is_conclusive() {
-                            inconclusive += 1;
-                        }
-                        println!("{label}\t{}", outcome_line(&outcome));
-                    }
-                    Err(e) => println!("{label}\terror: {e}"),
+                let outcome = screen_streaming(&system, &rec, args.min_chirps, &policy);
+                if !print_outcome(&label, &outcome) {
+                    no_verdict += 1;
                 }
             }
             Err(e) => {
                 captures.record_failure(&e);
                 println!("{label}\terror: {e}");
+                no_verdict += 1;
             }
         }
     }
     println!("captures: {}", captures.summary());
-    Ok(inconclusive == 0)
+    Ok(no_verdict == 0)
 }
 
 fn cmd_inspect(args: &Args) -> Result<(), String> {

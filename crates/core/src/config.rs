@@ -7,15 +7,18 @@ use earsonar_dsp::window::Window;
 
 /// Full configuration of the EarSonar pipeline, with the paper's defaults.
 ///
-/// Use [`EarSonarConfig::builder`] for fluent construction:
+/// Every field is public: override the ones you need with struct-update
+/// syntax, then check cross-field constraints with
+/// [`EarSonarConfig::validate`]:
 ///
 /// ```
 /// use earsonar::EarSonarConfig;
-/// let cfg = EarSonarConfig::builder()
-///     .noise_filter_order(6)
-///     .top_features(20)
-///     .build()
-///     .unwrap();
+/// let cfg = EarSonarConfig {
+///     noise_filter_order: 6,
+///     top_features: 20,
+///     ..EarSonarConfig::default()
+/// };
+/// cfg.validate().unwrap();
 /// assert_eq!(cfg.top_features, 20);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -127,13 +130,6 @@ impl EarSonarConfig {
         }
     }
 
-    /// Starts a builder from the paper defaults.
-    pub fn builder() -> EarSonarConfigBuilder {
-        EarSonarConfigBuilder {
-            config: Self::paper_default(),
-        }
-    }
-
     /// Validates cross-field constraints.
     ///
     /// # Errors
@@ -238,91 +234,6 @@ impl Default for EarSonarConfig {
     }
 }
 
-/// Fluent builder for [`EarSonarConfig`].
-#[derive(Debug, Clone)]
-pub struct EarSonarConfigBuilder {
-    config: EarSonarConfig,
-}
-
-macro_rules! builder_setters {
-    ($($(#[$doc:meta])* $name:ident: $ty:ty),* $(,)?) => {
-        $(
-            $(#[$doc])*
-            pub fn $name(mut self, value: $ty) -> Self {
-                self.config.$name = value;
-                self
-            }
-        )*
-    };
-}
-
-impl EarSonarConfigBuilder {
-    builder_setters! {
-        /// Sets the sample rate in hertz.
-        sample_rate: f64,
-        /// Sets the probe-band lower edge in hertz.
-        band_low_hz: f64,
-        /// Sets the probe-band upper edge in hertz.
-        band_high_hz: f64,
-        /// Sets the Butterworth noise-filter order.
-        noise_filter_order: usize,
-        /// Sets the chirp length in samples.
-        chirp_len: usize,
-        /// Sets the chirp hop in samples.
-        chirp_hop: usize,
-        /// Sets the event-detection window `W`.
-        event_window: usize,
-        /// Sets the minimum parity-symmetry support `ml`.
-        min_symmetry_support: usize,
-        /// Sets the parity energy-ratio threshold `pt`.
-        parity_energy_threshold: f64,
-        /// Sets the eardrum-distance prior in metres.
-        eardrum_distance_range_m: (f64, f64),
-        /// Sets the direct-path cancellation template depth.
-        cancel_max_delay: usize,
-        /// Sets the echo FFT window half-width.
-        echo_window_half: usize,
-        /// Sets the number of estimated IR taps.
-        ir_taps: usize,
-        /// Sets the Wiener-deconvolution regularization.
-        deconvolution_epsilon: f64,
-        /// Sets the IR samples kept before the echo centre.
-        echo_ir_pre: usize,
-        /// Sets the IR samples kept after the echo centre.
-        echo_ir_tail: usize,
-        /// Sets the echo FFT size.
-        n_fft: usize,
-        /// Sets the number of PSD profile feature bins.
-        psd_profile_bins: usize,
-        /// Sets the PSD profile frequency range.
-        profile_band_hz: (f64, f64),
-        /// Sets the number of clusters `k`.
-        k_clusters: usize,
-        /// Sets how many features Laplacian selection keeps.
-        top_features: usize,
-        /// Sets the Laplacian kNN graph size.
-        laplacian_neighbors: usize,
-        /// Sets the number of k-means restarts.
-        kmeans_restarts: usize,
-        /// Sets the clustering seed.
-        seed: u64,
-        /// Enables or disables outlier removal.
-        remove_outliers: bool,
-        /// Sets the per-chirp quality-gate thresholds.
-        quality: QualityGateConfig,
-    }
-
-    /// Finalizes the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EarSonarError::BadConfig`] if validation fails.
-    pub fn build(self) -> Result<EarSonarConfig, EarSonarError> {
-        self.config.validate()?;
-        Ok(self.config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,41 +257,54 @@ mod tests {
     }
 
     #[test]
-    fn builder_overrides_and_validates() {
-        let cfg = EarSonarConfig::builder()
-            .k_clusters(3)
-            .seed(9)
-            .build()
-            .unwrap();
+    fn struct_update_overrides_and_validates() {
+        let cfg = EarSonarConfig {
+            k_clusters: 3,
+            seed: 9,
+            ..EarSonarConfig::default()
+        };
+        cfg.validate().unwrap();
         assert_eq!(cfg.k_clusters, 3);
         assert_eq!(cfg.seed, 9);
 
-        assert!(EarSonarConfig::builder()
-            .parity_energy_threshold(0.4)
-            .build()
-            .is_err());
-        assert!(EarSonarConfig::builder().band_high_hz(30_000.0).build().is_err());
-        assert!(EarSonarConfig::builder().chirp_len(0).build().is_err());
-        assert!(EarSonarConfig::builder().k_clusters(0).build().is_err());
-        assert!(EarSonarConfig::builder()
-            .eardrum_distance_range_m((0.05, 0.01))
-            .build()
-            .is_err());
-        assert!(EarSonarConfig::builder()
-            .n_fft(16)
-            .echo_window_half(32)
-            .build()
-            .is_err());
+        let invalid = |cfg: EarSonarConfig| cfg.validate().is_err();
+        let d = EarSonarConfig::default;
+        assert!(invalid(EarSonarConfig {
+            parity_energy_threshold: 0.4,
+            ..d()
+        }));
+        assert!(invalid(EarSonarConfig {
+            band_high_hz: 30_000.0,
+            ..d()
+        }));
+        assert!(invalid(EarSonarConfig { chirp_len: 0, ..d() }));
+        assert!(invalid(EarSonarConfig { k_clusters: 0, ..d() }));
+        assert!(invalid(EarSonarConfig {
+            eardrum_distance_range_m: (0.05, 0.01),
+            ..d()
+        }));
+        assert!(invalid(EarSonarConfig {
+            n_fft: 16,
+            echo_window_half: 32,
+            ..d()
+        }));
         let bad_gate = QualityGateConfig {
             max_dropout_fraction: -0.5,
             ..Default::default()
         };
-        assert!(EarSonarConfig::builder().quality(bad_gate).build().is_err());
+        assert!(invalid(EarSonarConfig {
+            quality: bad_gate,
+            ..d()
+        }));
         let off = QualityGateConfig {
             enabled: false,
             ..Default::default()
         };
-        let cfg = EarSonarConfig::builder().quality(off).build().unwrap();
+        let cfg = EarSonarConfig {
+            quality: off,
+            ..d()
+        };
+        cfg.validate().unwrap();
         assert!(!cfg.quality.enabled);
     }
 }

@@ -1,16 +1,13 @@
 //! `xtask` — the workspace invariant checker.
 //!
-//! Subcommands:
+//! `cargo run -p xtask -- lint` enforces source/manifest invariants
+//! (table below). `--waivers` switches to the audit mode: print every
+//! registered waiver with rule, location, and reason, and fail on stale
+//! or reason-less ones.
 //!
-//! * `cargo run -p xtask -- lint` enforces source/manifest invariants
-//!   (table below). `--waivers` switches to the audit mode: print every
-//!   registered waiver with rule, location, and reason, and fail on
-//!   stale or reason-less ones. `--report FILE` splices a versioned
-//!   `lint` section (rule/waiver counts) into the unified benchmark
-//!   report after a clean run.
-//! * `cargo run -p xtask -- bench-schema [FILE]` validates the unified
-//!   benchmark report (`BENCH_pr9.json`) against its versioned schema —
-//!   shape and enumerations only, never timing magnitudes.
+//! The crate also hosts the workspace's std-only JSON reader
+//! ([`bench_schema::parse_json`]), which the `earbench` benchmark uses to
+//! read its saved runs and `BENCHMARK.json`.
 //!
 //! `lint` enforces, on every source file and manifest of the workspace,
 //! the invariants the compiler cannot see but the reproduction's claims

@@ -26,8 +26,13 @@ use earsonar_dsp::rng::DetRng;
 use earsonar_dsp::simd;
 use earsonar_dsp::window::{apply_precomputed, Window};
 
-/// Every remainder-tail class plus odd one-off and kernel-typical sizes.
-const LENGTHS: &[usize] = &[1, 2, 3, 4, 5, 6, 7, 8, 15, 16, 17, 63, 64, 65, 239, 240, 241, 1021];
+/// Every remainder-tail class plus odd one-off and kernel-typical sizes:
+/// 240 is the chirp hop, 312 the per-chirp filtfilt span (hop plus the
+/// preprocessor's 72-sample context), 512 the MFCC frame, 2048 a long
+/// correlation.
+const LENGTHS: &[usize] = &[
+    1, 2, 3, 4, 5, 6, 7, 8, 15, 16, 17, 63, 64, 65, 239, 240, 241, 312, 512, 1021, 2048,
+];
 
 fn noise(n: usize, seed: u64) -> Vec<f64> {
     let mut rng = DetRng::seed_from_u64(seed);

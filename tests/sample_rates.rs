@@ -5,6 +5,7 @@
 
 use earsonar::{EarSonar, EarSonarConfig};
 use earsonar_acoustics::chirp::FmcwChirp;
+use earsonar_dsp::mfcc::MfccConfig;
 use earsonar_sim::cohort::Cohort;
 use earsonar_sim::dataset::{patient_sessions, DatasetSpec};
 use earsonar_sim::session::{RecordSession, SessionConfig};
@@ -14,13 +15,17 @@ fn config_44100() -> (EarSonarConfig, SessionConfig) {
     let chirp = FmcwChirp::new(16_000.0, 4_000.0, 0.5e-3, fs).expect("chirp");
     let chirp_len = chirp.len(); // 22 samples at 44.1 kHz
     let chirp_hop = chirp.hop_samples(5e-3); // ~220 samples
-    let mut cfg = EarSonarConfig::builder()
-        .sample_rate(fs)
-        .chirp_len(chirp_len)
-        .chirp_hop(chirp_hop)
-        .build()
-        .expect("config");
-    cfg.mfcc.sample_rate = fs;
+    let defaults = EarSonarConfig::default();
+    let cfg = EarSonarConfig {
+        sample_rate: fs,
+        chirp_len,
+        chirp_hop,
+        mfcc: MfccConfig {
+            sample_rate: fs,
+            ..defaults.mfcc
+        },
+        ..defaults
+    };
     cfg.validate().expect("validate");
     let session = SessionConfig {
         chirp,
